@@ -9,6 +9,7 @@ import (
 	"radiocolor/internal/core"
 	"radiocolor/internal/estimate"
 	"radiocolor/internal/fault"
+	"radiocolor/internal/medium"
 	"radiocolor/internal/radio"
 	"radiocolor/internal/reduce"
 	"radiocolor/internal/sched"
@@ -257,10 +258,11 @@ func E15RandomIDs(o Options) *stats.Table {
 }
 
 // E16MessageLoss injects delivery failures beyond the model (each
-// successful reception is suppressed independently with probability p)
-// and measures how the protocol degrades. Losses are indistinguishable
-// from collisions to the nodes, so the counters-and-critical-ranges
-// machinery absorbs moderate loss at the price of longer runs.
+// successful reception is suppressed independently with probability p,
+// through the fault layer's i.i.d. link loss) and measures how the
+// protocol degrades. Losses are indistinguishable from collisions to
+// the nodes, so the counters-and-critical-ranges machinery absorbs
+// moderate loss at the price of longer runs.
 func E16MessageLoss(o Options) *stats.Table {
 	o = o.normalized()
 	t := stats.NewTable("E16: robustness to message loss beyond the model",
@@ -275,11 +277,15 @@ func E16MessageLoss(o Options) *stats.Table {
 		seed := trialSeed(o.Seed, 1300+ci, tr)
 		d := topology.RandomUDG(topology.UDGConfig{N: n, Side: 6, Radius: 1.2, Seed: seed})
 		par := MeasureParams(d)
+		inj, err := (&fault.Profile{Seed: seed, Loss: probs[ci]}).Compile(d.N())
+		if err != nil {
+			panic(err)
+		}
 		nodes, protos := core.Nodes(d.N(), seed, par, core0)
 		res, err := radio.Run(radio.Config{
 			G: d.G, Protocols: protos, Wake: radio.WakeSynchronous(d.N()),
 			MaxSlots: 4 * defaultBudget(par), NEstimate: par.N,
-			DropProb: probs[ci], DropSeed: seed,
+			Faults: inj,
 		})
 		if err != nil {
 			panic(err)
@@ -618,7 +624,8 @@ func E19ColorReduction(o Options) *stats.Table {
 // while the model assumes every collision destroys both. The protocol's
 // guarantees are proved without capture, so capture can only help — the
 // experiment quantifies the speedup and confirms correctness is
-// unaffected.
+// unaffected. Capture is the graph medium's two-way capture coin
+// (medium.GraphThreshold.Capture), seeded with the trial seed.
 func E20CaptureEffect(o Options) *stats.Table {
 	o = o.normalized()
 	t := stats.NewTable("E20: capture effect (model deviation above spec)",
@@ -634,11 +641,18 @@ func E20CaptureEffect(o Options) *stats.Table {
 		seed := trialSeed(o.Seed, 1700+ci, tr)
 		d := topology.RandomUDG(topology.UDGConfig{N: n, Side: 6, Radius: 1.2, Seed: seed})
 		par := MeasureParams(d)
+		csr := d.G.CSR()
+		med, err := medium.GraphThreshold{Capture: probs[ci]}.Bind(medium.Env{
+			N: d.N(), Offsets: csr.Offsets, Edges: csr.Edges, Seed: seed,
+		})
+		if err != nil {
+			panic(err)
+		}
 		nodes, protos := core.Nodes(d.N(), seed, par, core0)
 		res, err := radio.Run(radio.Config{
 			G: d.G, Protocols: protos, Wake: radio.WakeSynchronous(d.N()),
 			MaxSlots: defaultBudget(par), NEstimate: par.N,
-			CaptureProb: probs[ci], DropSeed: seed,
+			Medium: med,
 		})
 		if err != nil {
 			panic(err)

@@ -11,7 +11,7 @@
 // oracle the slot kernel consults while running. Every decision the
 // Injector makes is a pure function of (profile seed, slot, link), so
 // fault runs are bit-reproducible for a fixed seed at any worker
-// count, exactly like the kernel's own DropProb/CaptureProb coins.
+// count, exactly like the reception media's coins (internal/medium).
 package fault
 
 import (
@@ -29,8 +29,7 @@ type Profile struct {
 	// should derive Seed from their run seed.
 	Seed int64
 	// Loss is the per-link i.i.d. probability that an otherwise
-	// successful reception is dropped by the fault layer (independent
-	// of, and applied before, the kernel's own DropProb).
+	// successful reception is dropped by the fault layer.
 	Loss float64
 	// Burst, when non-nil, adds windowed Gilbert-Elliott style burst
 	// loss on top of Loss.
@@ -323,8 +322,8 @@ func (p *Profile) Compile(n int) (*Injector, error) {
 }
 
 // Distinct stream constants keep the loss, burst-state, jam, and skew
-// coins independent of each other and of the kernel's drop/capture
-// streams (which use 0x9e3779b97f4a7c15 / 0xbf58476d1ce4e5b9).
+// coins independent of each other and of the graph medium's capture
+// stream (which uses 0x9e3779b97f4a7c15 / 0xbf58476d1ce4e5b9).
 const (
 	streamLoss  = 0x2545f4914f6cdd1d
 	streamBurst = 0x9e6c63d0876a9a35
@@ -332,9 +331,9 @@ const (
 	streamSkew  = 0xaef17502108ef2d9
 )
 
-// splitmix64 is the same finalizer the kernel uses for its stateless
-// coins (engine.go); reusing it keeps the fault layer's determinism
-// argument identical to the kernel's.
+// splitmix64 is the same finalizer the reception media use for their
+// stateless coins (internal/medium); reusing it keeps the fault layer's
+// determinism argument identical to theirs.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -103,24 +103,39 @@ type Instance interface {
 // GraphThreshold is the paper's reception rule as an explicit medium: a
 // listener decodes iff exactly one of its graph neighbors transmits —
 // otherwise the transmissions annihilate and the listener hears nothing
-// (no collision detection). Binding it reproduces the engine's built-in
-// default exactly; it exists so differential tests can pin the seam
-// against the fast path and so derived media have a reference skeleton.
-type GraphThreshold struct{}
+// (no collision detection). Binding the zero value reproduces the
+// engine's built-in default exactly; it exists so differential tests can
+// pin the seam against the fast path and so derived media have a
+// reference skeleton.
+type GraphThreshold struct {
+	// Capture models the capture effect, a deviation ABOVE the model:
+	// when exactly two neighbors transmit, the stronger signal
+	// (deterministically, the lower-indexed transmitter) is still
+	// decoded with this probability instead of being lost to the
+	// collision. The coin is a pure function of (Env.Seed, slot,
+	// listener). Real radios often exhibit capture; the model assumes
+	// none, so the default is 0.
+	Capture float64
+}
 
 // Name implements Medium.
 func (GraphThreshold) Name() string { return "graph" }
 
 // Bind implements Medium.
-func (GraphThreshold) Bind(env Env) (Instance, error) {
+func (m GraphThreshold) Bind(env Env) (Instance, error) {
 	if len(env.Offsets) != env.N+1 {
 		return nil, fmt.Errorf("medium: graph medium needs a CSR adjacency (%d offsets for %d nodes)", len(env.Offsets), env.N)
+	}
+	if !(m.Capture >= 0 && m.Capture <= 1) {
+		return nil, fmt.Errorf("medium: graph capture probability %v outside [0, 1]", m.Capture)
 	}
 	return &graphInstance{
 		offsets: env.Offsets,
 		edges:   env.Edges,
 		count:   make([]int32, env.N),
 		from:    make([]int32, env.N),
+		capture: m.Capture,
+		seed:    env.Seed,
 	}, nil
 }
 
@@ -132,8 +147,10 @@ type graphInstance struct {
 	offsets []int32
 	edges   []int32
 	count   []int32
-	from    []int32
+	from    []int32 // first, i.e. lowest-indexed, transmitter heard
 	touched []int32
+	capture float64
+	seed    int64
 }
 
 // Name implements Instance.
@@ -159,13 +176,28 @@ func (g *graphInstance) Resolve(slot int64, tx []int32, listening func(int32) bo
 		}
 	}
 	for _, u := range touched {
-		if g.count[u] == 1 {
+		switch c := g.count[u]; {
+		case c == 1:
 			dst = append(dst, Reception{To: u, From: g.from[u]})
-		} else {
+		case c == 2 && g.captured(slot, u):
+			// tx is ascending, so from holds the lower-indexed sender.
+			dst = append(dst, Reception{To: u, From: g.from[u], Captured: true})
+		default:
 			st.Collisions++
 		}
 		g.count[u] = 0
 	}
 	g.touched = touched
 	return dst, st
+}
+
+// captured reports whether the two-way collision at listener u in slot
+// is captured: a coin that is a pure function of (seed, slot, u), so
+// the outcome is identical across worker counts and phase orderings.
+func (g *graphInstance) captured(slot int64, u int32) bool {
+	if g.capture <= 0 {
+		return false
+	}
+	h := splitmix64(splitmix64(uint64(g.seed)^uint64(slot)*0x9E3779B9) ^ uint64(u) ^ 0xCA97)
+	return float64(h>>11)/float64(1<<53) < g.capture
 }

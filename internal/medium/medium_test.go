@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -26,6 +27,12 @@ func allListening(int32) bool { return true }
 func TestGraphThresholdBindValidation(t *testing.T) {
 	if _, err := (GraphThreshold{}).Bind(Env{N: 3}); err == nil {
 		t.Error("graph medium bound without a CSR adjacency")
+	}
+	off, ed := csr(2, [][2]int32{{0, 1}})
+	for _, p := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := (GraphThreshold{Capture: p}).Bind(Env{N: 2, Offsets: off, Edges: ed}); err == nil {
+			t.Errorf("graph medium bound with capture probability %v", p)
+		}
 	}
 }
 
@@ -94,6 +101,44 @@ func TestGraphThresholdScratchResets(t *testing.T) {
 	recs, st := inst.Resolve(1, []int32{0}, allListening, nil)
 	if len(recs) != 1 || recs[0] != (Reception{To: 1, From: 0}) || st.Collisions != 0 {
 		t.Errorf("stale scratch after a collision slot: recs=%v st=%+v", recs, st)
+	}
+}
+
+func TestGraphThresholdCapture(t *testing.T) {
+	// Star hub 0 with leaves 1..3. Capture = 1 decodes the lower-indexed
+	// of exactly two senders; three senders always collide, and the
+	// zero value never captures.
+	off, ed := csr(4, [][2]int32{{0, 1}, {0, 2}, {0, 3}})
+	bind := func(p float64) Instance {
+		inst, err := (GraphThreshold{Capture: p}).Bind(Env{N: 4, Offsets: off, Edges: ed, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst
+	}
+	recs, st := bind(1).Resolve(0, []int32{2, 3}, allListening, nil)
+	if want := []Reception{{To: 0, From: 2, Captured: true}}; !reflect.DeepEqual(recs, want) || st.Collisions != 0 {
+		t.Errorf("two-way capture: recs=%v st=%+v, want %v", recs, st, want)
+	}
+	if recs, st := bind(1).Resolve(0, []int32{1, 2, 3}, allListening, nil); len(recs) != 0 || st.Collisions != 1 {
+		t.Errorf("three-way collision captured: recs=%v st=%+v", recs, st)
+	}
+	if recs, st := bind(0).Resolve(0, []int32{2, 3}, allListening, nil); len(recs) != 0 || st.Collisions != 1 {
+		t.Errorf("capture fired with Capture=0: recs=%v st=%+v", recs, st)
+	}
+	// A fractional coin is a pure function of (seed, slot, listener).
+	a, b := bind(0.5), bind(0.5)
+	caught := 0
+	for slot := int64(0); slot < 200; slot++ {
+		ra, _ := a.Resolve(slot, []int32{1, 2}, allListening, nil)
+		rb, _ := b.Resolve(slot, []int32{1, 2}, allListening, nil)
+		if !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("slot %d: equal seeds captured differently: %v vs %v", slot, ra, rb)
+		}
+		caught += len(ra)
+	}
+	if caught == 0 || caught == 200 {
+		t.Errorf("capture 0.5 fired in %d/200 slots", caught)
 	}
 }
 

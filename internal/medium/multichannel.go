@@ -85,8 +85,8 @@ func (m *multiChannelInstance) Name() string { return "multichannel" }
 // N implements Instance.
 func (m *multiChannelInstance) N() int { return len(m.chanOf) }
 
-// splitmix64 advances a SplitMix64 state (same mixer as the engine's
-// stateless coins).
+// splitmix64 advances a SplitMix64 state; shared by the hop schedule
+// and the graph medium's capture coin.
 func splitmix64(z uint64) uint64 {
 	z += 0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

@@ -25,7 +25,6 @@ type Metrics struct {
 	deliveries    atomic.Int64
 	collisions    atomic.Int64
 	captures      atomic.Int64
-	drops         atomic.Int64
 	decisions     atomic.Int64
 	wakeups       atomic.Int64
 	slots         atomic.Int64
@@ -61,9 +60,6 @@ func (m *Metrics) AddCollision() { m.collisions.Add(1) }
 // AddCapture counts a delivery that survived a two-way collision via
 // the capture effect (also counted by AddDelivery).
 func (m *Metrics) AddCapture() { m.captures.Add(1) }
-
-// AddDrop counts a delivery suppressed by injected message loss.
-func (m *Metrics) AddDrop() { m.drops.Add(1) }
 
 // AddCollisions counts n collisions at once; the medium path reports a
 // slot's collisions in aggregate rather than per listener.
@@ -162,9 +158,9 @@ func (m *Metrics) AddPhaseGauge(p Phase, n int64) { m.phase[p].Add(n) }
 // (Counters are read individually; a snapshot taken mid-slot may be off
 // by the events of that slot, which is irrelevant for reporting.)
 type Snapshot struct {
-	// Transmissions, Deliveries, Collisions, Captures, Drops, Decisions,
-	// Wakeups and Slots are the monotone event counters.
-	Transmissions, Deliveries, Collisions, Captures, Drops, Decisions, Wakeups, Slots int64
+	// Transmissions, Deliveries, Collisions, Captures, Decisions, Wakeups
+	// and Slots are the monotone event counters.
+	Transmissions, Deliveries, Collisions, Captures, Decisions, Wakeups, Slots int64
 	// Lost, Jammed, Crashes and Restarts count injected fault events
 	// (zero unless a run has a fault profile).
 	Lost, Jammed, Crashes, Restarts int64
@@ -190,7 +186,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Deliveries:    m.deliveries.Load(),
 		Collisions:    m.collisions.Load(),
 		Captures:      m.captures.Load(),
-		Drops:         m.drops.Load(),
 		Decisions:     m.decisions.Load(),
 		Wakeups:       m.wakeups.Load(),
 		Slots:         m.slots.Load(),
@@ -249,7 +244,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	d.Deliveries -= prev.Deliveries
 	d.Collisions -= prev.Collisions
 	d.Captures -= prev.Captures
-	d.Drops -= prev.Drops
 	d.Decisions -= prev.Decisions
 	d.Wakeups -= prev.Wakeups
 	d.Slots -= prev.Slots
@@ -267,7 +261,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 }
 
 // Export calls fn once per metric in a fixed, documented order: the
-// seventeen monotone counters first (Counter true), then the per-phase
+// sixteen monotone counters first (Counter true), then the per-phase
 // occupancy gauges (Counter false). It is the deterministic export hook
 // text encoders build on — the Prometheus exposition of internal/serve
 // and the Map/String renderings here all derive from it, so the
@@ -277,7 +271,6 @@ func (s Snapshot) Export(fn func(name string, value int64, counter bool)) {
 	fn("deliveries", s.Deliveries, true)
 	fn("collisions", s.Collisions, true)
 	fn("captures", s.Captures, true)
-	fn("drops", s.Drops, true)
 	fn("decisions", s.Decisions, true)
 	fn("wakeups", s.Wakeups, true)
 	fn("slots", s.Slots, true)
@@ -298,7 +291,7 @@ func (s Snapshot) Export(fn func(name string, value int64, counter bool)) {
 // Map renders the registry as name → value, the stable export format
 // (names are the JSONL/summary vocabulary).
 func (s Snapshot) Map() map[string]int64 {
-	m := make(map[string]int64, 17+NumPhases)
+	m := make(map[string]int64, 16+NumPhases)
 	s.Export(func(name string, v int64, _ bool) { m[name] = v })
 	return m
 }

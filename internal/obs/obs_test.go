@@ -17,7 +17,6 @@ func TestMetricsCountersAndRates(t *testing.T) {
 	m.AddDelivery()
 	m.AddCollision()
 	m.AddCapture()
-	m.AddDrop()
 	m.AddDecision()
 	m.AddWakeup()
 	m.AddSlot()

@@ -40,8 +40,8 @@ import (
 // the ENGINE — wake-up handling, Send dispatch, resolve, deliver,
 // decision detection — rather than of the coloring protocol's own
 // arithmetic, which is identical in both engines and would otherwise
-// mask the kernel difference (Amdahl). `colorsim -bench-kernel` times
-// both kernels under the real protocol on any deployment.
+// mask the kernel difference (Amdahl). Wall time under the real
+// protocol is measured end to end by the perfbench module.
 
 var benchKernelOut = flag.String("benchkernel-out", "", "write kernel throughput results (BENCH_kernel.json) to this path")
 

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"radiocolor/internal/core"
+	"radiocolor/internal/fault"
 	"radiocolor/internal/graph"
+	"radiocolor/internal/medium"
 	"radiocolor/internal/radio"
 	"radiocolor/internal/topology"
 )
@@ -18,14 +20,51 @@ import (
 // must produce an identical Result (colors, slots, message counts). Any
 // divergence means the rewritten kernel silently changed the model.
 
-// diffCase is one (graph, schedule, seed) cell of the matrix.
+// diffCase is one (graph, schedule, seed) cell of the matrix. loss and
+// capture are the probabilistic reception coins beyond the model: i.i.d.
+// fault loss (the fault layer) and two-way capture (the graph medium).
 type diffCase struct {
 	name    string
 	g       *graph.Graph
 	wake    []int64
 	seed    int64
-	drop    float64
+	loss    float64
 	capture float64
+}
+
+// coins reports whether the case draws reception coins. The reference
+// engine is the executable spec of the coin-free model and runs neither
+// seam, so coin cases are pinned across the CSR kernel's worker and tile
+// counts instead.
+func (c diffCase) coins() bool { return c.loss > 0 || c.capture > 0 }
+
+// addCoins attaches the case's coins to cfg, both seeded from the case
+// seed: loss through a fault profile, capture through the graph medium.
+func (c diffCase) addCoins(t *testing.T, cfg *radio.Config) {
+	t.Helper()
+	if c.loss > 0 {
+		inj, err := (&fault.Profile{Seed: c.seed, Loss: c.loss}).Compile(c.g.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = inj
+	}
+	if c.capture > 0 {
+		cfg.Medium = bindCapture(t, c.g, c.capture, c.seed)
+	}
+}
+
+// bindCapture binds the graph medium with the two-way capture coin.
+func bindCapture(t *testing.T, g *graph.Graph, capture float64, seed int64) medium.Instance {
+	t.Helper()
+	csr := g.CSR()
+	inst, err := medium.GraphThreshold{Capture: capture}.Bind(medium.Env{
+		N: g.N(), Offsets: csr.Offsets, Edges: csr.Edges, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
 }
 
 // diffBudget bounds each run: bit-identity must hold whether or not the
@@ -80,15 +119,15 @@ func diffCases(t *testing.T) []diffCase {
 			}
 		}
 	}
-	// Drop and capture exercise the stateless coins, which must agree
-	// across kernels and worker counts too.
+	// Drop (fault loss) and capture exercise the stateless coins, which
+	// must agree across worker and tile counts too.
 	base := graphs[0].g
 	par := diffParams(base)
 	wake := radio.WakeUniform(base.N(), 4*par.WaitSlots(), 7)
 	cases = append(cases,
-		diffCase{name: "er50/drop", g: base, wake: wake, seed: 7, drop: 0.2},
+		diffCase{name: "er50/drop", g: base, wake: wake, seed: 7, loss: 0.2},
 		diffCase{name: "er50/capture", g: base, wake: wake, seed: 7, capture: 0.5},
-		diffCase{name: "er50/drop+capture", g: base, wake: wake, seed: 7, drop: 0.1, capture: 0.3},
+		diffCase{name: "er50/drop+capture", g: base, wake: wake, seed: 7, loss: 0.1, capture: 0.3},
 	)
 	return cases
 }
@@ -103,9 +142,9 @@ func runVariant(t *testing.T, c diffCase, workers int, reference bool) (*radio.R
 	cfg := radio.Config{
 		G: c.g, Protocols: protos, Wake: c.wake,
 		MaxSlots: diffBudget, NEstimate: par.N,
-		DropProb: c.drop, DropSeed: c.seed, CaptureProb: c.capture,
 		Workers: workers,
 	}
+	c.addCoins(t, &cfg)
 	var res *radio.Result
 	var err error
 	if reference {
@@ -133,7 +172,7 @@ func TestDifferentialCSRMatchesReference(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			refRes, refColors, refTCs := runVariant(t, c, 1, true)
+			refRes, refColors, refTCs := runVariant(t, c, 1, !c.coins())
 			for _, variant := range []struct {
 				label     string
 				workers   int
@@ -143,6 +182,9 @@ func TestDifferentialCSRMatchesReference(t *testing.T) {
 				{"csr/workers=1", 1, false},
 				{"csr/workers=4", 4, false},
 			} {
+				if c.coins() && variant.reference {
+					continue
+				}
 				res, colors, tcs := runVariant(t, c, variant.workers, variant.reference)
 				if !reflect.DeepEqual(res, refRes) {
 					t.Fatalf("%s: Result diverged from sequential reference\n ref: %+v\n got: %+v", variant.label, refRes, res)
@@ -154,14 +196,29 @@ func TestDifferentialCSRMatchesReference(t *testing.T) {
 					t.Fatalf("%s: intra-cluster colors diverged from sequential reference", variant.label)
 				}
 			}
+			checkCoinsFired(t, c, refRes)
 		})
+	}
+}
+
+// checkCoinsFired fails a coin case whose coins never fired, which
+// would make its differential vacuous.
+func checkCoinsFired(t *testing.T, c diffCase, res *radio.Result) {
+	t.Helper()
+	if c.loss > 0 && res.Lost == 0 {
+		t.Fatal("loss coin never fired; differential is vacuous")
+	}
+	if c.capture > 0 && res.Captures == 0 {
+		t.Fatal("capture coin never fired; differential is vacuous")
 	}
 }
 
 // TestDifferentialScriptedCollisions drives both kernels with scripted
 // protocols that force dense simultaneous transmissions — the regime
 // where the resolve/deliver rewrite (count accumulation, lowest-sender
-// selection, capture) is most likely to drift.
+// selection) is most likely to drift. The capture arm runs the same
+// scripts through the graph medium's capture coin, which the reference
+// engine does not model, and pins it across worker counts.
 func TestDifferentialScriptedCollisions(t *testing.T) {
 	for _, seed := range []int64{3, 9, 27} {
 		g := erdosRenyi(40, 0.15, seed)
@@ -181,11 +238,13 @@ func TestDifferentialScriptedCollisions(t *testing.T) {
 			}
 			return protos
 		}
-		run := func(workers int, reference bool) *radio.Result {
+		run := func(workers int, reference bool, capture float64) *radio.Result {
 			cfg := radio.Config{
 				G: g, Protocols: build(), Wake: wake,
-				MaxSlots: 120, CaptureProb: 0.4, DropSeed: seed,
-				Workers: workers,
+				MaxSlots: 120, Workers: workers,
+			}
+			if capture > 0 {
+				cfg.Medium = bindCapture(t, g, capture, seed)
 			}
 			var res *radio.Result
 			var err error
@@ -199,14 +258,21 @@ func TestDifferentialScriptedCollisions(t *testing.T) {
 			}
 			return res
 		}
-		ref := run(1, true)
+		ref := run(1, true, 0)
 		for _, w := range []int{1, 4} {
-			if got := run(w, false); !reflect.DeepEqual(got, ref) {
+			if got := run(w, false, 0); !reflect.DeepEqual(got, ref) {
 				t.Fatalf("seed %d: CSR workers=%d diverged\n ref: %+v\n got: %+v", seed, w, ref, got)
 			}
-			if got := run(w, true); !reflect.DeepEqual(got, ref) {
+			if got := run(w, true, 0); !reflect.DeepEqual(got, ref) {
 				t.Fatalf("seed %d: reference workers=%d diverged\n ref: %+v\n got: %+v", seed, w, ref, got)
 			}
+		}
+		capRef := run(1, false, 0.4)
+		if got := run(4, false, 0.4); !reflect.DeepEqual(got, capRef) {
+			t.Fatalf("seed %d: capture workers=4 diverged\n ref: %+v\n got: %+v", seed, capRef, got)
+		}
+		if ref.Collisions == 0 || capRef.Captures == 0 {
+			t.Fatalf("seed %d: no collisions/captures; scripted differential is vacuous", seed)
 		}
 	}
 }

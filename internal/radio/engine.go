@@ -40,20 +40,6 @@ type Config struct {
 	// NEstimate is the network-size estimate used for message-size
 	// accounting (default G.N()).
 	NEstimate int
-	// DropProb injects message loss beyond the model: each successful
-	// delivery is independently suppressed with this probability.
-	// Deliveries suppressed this way are indistinguishable from
-	// collisions to the receiver. Used by failure-injection tests.
-	DropProb float64
-	// DropSeed seeds the deterministic drop and capture coins.
-	DropSeed int64
-	// CaptureProb models the capture effect, a deviation ABOVE the
-	// model: when exactly two neighbors transmit simultaneously, the
-	// stronger signal (deterministically, the lower-indexed transmitter)
-	// is still decoded with this probability instead of being lost to
-	// the collision. Real radios often exhibit capture; the model
-	// assumes none. Used by robustness experiments.
-	CaptureProb float64
 	// Faults, when non-nil, threads the deterministic fault-injection
 	// layer through the slot loop: per-link loss and jamming suppress
 	// receptions, crash/restart events fail-stop nodes (see
@@ -70,11 +56,11 @@ type Config struct {
 	// multi-channel hopping, or any other medium.Instance bound for
 	// exactly G.N() nodes (see internal/medium). nil keeps the seam
 	// entirely off the hot path: one check per slot, output bit-identical
-	// to the pre-seam kernel. On the medium path CaptureProb is ignored
-	// (capture is the medium's own semantics), per-listener OnCollision
-	// events are not emitted (collisions are counted in aggregate), and
-	// fault suppression (jam, loss) applies per reception after the
-	// medium resolves, exactly as on the built-in path.
+	// to the pre-seam kernel. Capture is a medium's own semantics (the
+	// built-in rule has none); on the medium path per-listener
+	// OnCollision events are not emitted (collisions are counted in
+	// aggregate), and fault suppression (jam, loss) applies per reception
+	// after the medium resolves, exactly as on the built-in path.
 	Medium medium.Instance
 	// Churn, when non-nil, threads the dynamic-topology layer through
 	// the slot loop: a compiled churn.Plan's batches of node joins,
@@ -199,11 +185,10 @@ type Engine struct {
 	// rejoin knows whether the node must be re-inserted or is merely
 	// reactivated in place. Allocated with off.
 	everWoke []bool
-	// woken, rejoinU and rejoinA are slot-prologue scratch shared by
-	// the fault and churn seams (both run sequentially, each flushing
-	// before the other starts): the surviving wake block, re-inserts
-	// into undecided, and re-inserts into the awake lists.
-	woken   []int32
+	// rejoinU and rejoinA are slot-prologue scratch shared by the fault
+	// and churn seams (both run sequentially, each flushing before the
+	// other starts): re-inserts into undecided, and re-inserts into the
+	// awake lists.
 	rejoinU []int32
 	rejoinA []int32
 
@@ -415,43 +400,6 @@ func newResult(wake []int64) Result {
 	return res
 }
 
-// splitmix64 advances a SplitMix64 state; used for the stateless drop
-// coin so that drops are a pure function of (seed, slot, receiver).
-func splitmix64(z uint64) uint64 {
-	z += 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// dropCoin reports whether the delivery to receiver in slot is dropped:
-// a pure function of (seed, slot, receiver), so the outcome is identical
-// across engines, worker counts and phase orderings.
-func dropCoin(seed, slot int64, receiver int32, prob float64) bool {
-	if prob <= 0 {
-		return false
-	}
-	h := splitmix64(splitmix64(uint64(seed)^uint64(slot)) ^ uint64(receiver))
-	return float64(h>>11)/float64(1<<53) < prob
-}
-
-// captureCoin is the equally pure coin for the capture effect.
-func captureCoin(seed, slot int64, receiver int32, prob float64) bool {
-	if prob <= 0 {
-		return false
-	}
-	h := splitmix64(splitmix64(uint64(seed)^uint64(slot)*0x9E3779B9) ^ uint64(receiver) ^ 0xCA97)
-	return float64(h>>11)/float64(1<<53) < prob
-}
-
-func (e *Engine) dropped(slot int64, receiver int32) bool {
-	return dropCoin(e.cfg.DropSeed, slot, receiver, e.cfg.DropProb)
-}
-
-func (e *Engine) captured(slot int64, receiver int32) bool {
-	return captureCoin(e.cfg.DropSeed, slot, receiver, e.cfg.CaptureProb)
-}
-
 // Step simulates one slot. It returns false when the run is over
 // (everyone decided or the slot limit was reached).
 func (e *Engine) Step() bool {
@@ -461,6 +409,7 @@ func (e *Engine) Step() bool {
 	t := e.slot
 	ob := e.cfg.Observer
 	met := e.cfg.Metrics
+	protos, off := e.cfg.Protocols, e.off
 
 	e.wakePhase(t, ob, met)
 	// A traced run flushes every slot so OnTransmit events keep the
@@ -481,30 +430,25 @@ func (e *Engine) Step() bool {
 	// ascending order; protocols are independent state machines, so call
 	// order within a slot cannot influence results. Transmission
 	// bookkeeping (counters, max message size, events) is order-free and
-	// fused into the same sweep.
+	// fused into the same sweep. Crashed and absent nodes stay in the
+	// lists (they may restart or rejoin); the off filter skips them.
 	if e.cfg.Workers > 1 {
 		e.parallelSend(t, e.awakeList)
 		for _, v := range e.tx {
 			e.noteTx(t, v, e.out[v], ob, met)
 		}
-	} else if e.off != nil {
-		e.filteredSend(t, ob, met)
 	} else {
-		protos := e.cfg.Protocols
-		for _, i := range e.awakeList {
-			if msg := protos[i].Send(t); msg != nil {
-				e.out[i] = msg
-				e.rs[i].count = txMarker
-				e.tx = append(e.tx, i)
-				e.noteTx(t, i, msg, ob, met)
-			}
-		}
-		for _, i := range e.pending {
-			if msg := protos[i].Send(t); msg != nil {
-				e.out[i] = msg
-				e.rs[i].count = txMarker
-				e.tx = append(e.tx, i)
-				e.noteTx(t, i, msg, ob, met)
+		for _, ids := range [2][]int32{e.awakeList, e.pending} {
+			for _, i := range ids {
+				if off != nil && off[i] {
+					continue
+				}
+				if msg := protos[i].Send(t); msg != nil {
+					e.out[i] = msg
+					e.rs[i].count = txMarker
+					e.tx = append(e.tx, i)
+					e.noteTx(t, i, msg, ob, met)
+				}
 			}
 		}
 	}
@@ -539,66 +483,18 @@ func (e *Engine) Step() bool {
 		}
 	}
 
-	// Deliver phase: exactly-one rule at awake listeners. The delivered
-	// message is recovered from the sender's outbox (out is cleared only
-	// after this phase), so no per-receiver message scratch exists. Each
-	// touched rs entry is zeroed here, while its line is in hand,
-	// restoring the between-slot count == 0 invariant.
+	// Deliver phase: exactly-one rule at awake listeners (deliverOne).
+	// The delivered message is recovered from the sender's outbox (out
+	// is cleared only after this phase), so no per-receiver message
+	// scratch exists.
 	if e.cfg.Workers > 1 && ob == nil && len(e.touched) > 1 {
 		e.parallelDeliver(t)
 	} else {
+		var tl deliverTally
 		for _, u := range e.touched {
-			r := &e.rs[u]
-			count, from := r.count, r.from
-			r.count = 0
-			if count >= 2 {
-				if count == 2 && e.captured(t, u) {
-					if e.fs != nil && e.faultSuppressed(t, from, u, &e.res.Jammed, &e.res.Lost, met) {
-						continue
-					}
-					// Capture effect: the lowest-indexed transmitter's
-					// signal survives the two-way collision.
-					e.res.Deliveries++
-					e.res.Captures++
-					msg := e.out[from]
-					if ob != nil {
-						ob.OnDeliver(t, NodeID(u), msg)
-					}
-					if met != nil {
-						met.AddDelivery()
-						met.AddCapture()
-					}
-					e.cfg.Protocols[u].Recv(t, msg)
-					continue
-				}
-				e.res.Collisions++
-				if ob != nil {
-					ob.OnCollision(t, NodeID(u), int(count))
-				}
-				if met != nil {
-					met.AddCollision()
-				}
-				continue
-			}
-			if e.fs != nil && e.faultSuppressed(t, from, u, &e.res.Jammed, &e.res.Lost, met) {
-				continue
-			}
-			if e.dropped(t, u) {
-				if met != nil {
-					met.AddDrop()
-				}
-				continue
-			}
-			e.res.Deliveries++
-			msg := e.out[from]
-			if ob != nil {
-				ob.OnDeliver(t, NodeID(u), msg)
-			}
-			if met != nil {
-				met.AddDelivery()
-			}
-			e.cfg.Protocols[u].Recv(t, msg)
+			e.deliverOne(t, u, &tl, ob, met, nil, protos)
 		}
+		tl.addTo(&e.res)
 	}
 	e.touched = e.touched[:0]
 	for _, v := range e.tx {
@@ -607,32 +503,27 @@ func (e *Engine) Step() bool {
 	}
 	e.tx = e.tx[:0]
 
-	// Decision detection over the compact undecided list. The
-	// filtered variant keeps crashed and absent nodes in the list
-	// (they may restart or rejoin) without polling them.
-	if e.off != nil {
-		e.filteredDecide(t, ob, met)
-	} else {
-		w := 0
-		protos := e.cfg.Protocols
-		for _, i := range e.undecided {
-			if protos[i].Done() {
-				e.decided[i] = true
-				e.numDone++
-				e.res.DecideSlot[i] = t
-				if ob != nil {
-					ob.OnDecide(t, NodeID(i))
-				}
-				if met != nil {
-					met.AddDecision()
-				}
-			} else {
-				e.undecided[w] = i
-				w++
+	// Decision detection over the compact undecided list. Crashed and
+	// absent nodes stay in the list (they may restart or rejoin) without
+	// being polled.
+	w := 0
+	for _, i := range e.undecided {
+		if (off == nil || !off[i]) && protos[i].Done() {
+			e.decided[i] = true
+			e.numDone++
+			e.res.DecideSlot[i] = t
+			if ob != nil {
+				ob.OnDecide(t, NodeID(i))
 			}
+			if met != nil {
+				met.AddDecision()
+			}
+		} else {
+			e.undecided[w] = i
+			w++
 		}
-		e.undecided = e.undecided[:w]
 	}
+	e.undecided = e.undecided[:w]
 
 	return e.finishSlot(t, ob, met)
 }
@@ -653,16 +544,21 @@ func (e *Engine) wakePhase(t int64, ob Observer, met *obs.Metrics) {
 	// Wake-ups scheduled for this slot. The block e.order[prevNext:next]
 	// is in ascending id order (wakeOrder sorts stably, so ties keep id
 	// order), letting the sorted activity lists absorb it with one
-	// backward merge each. The filtered variant additionally consumes
-	// nodes that are crashed or absent at their wake slot without
-	// starting them.
-	if e.off != nil {
-		e.filteredWake(t, ob, met)
-		return
-	}
-	prevNext := e.next
+	// backward merge each. Nodes that are crashed or absent at their
+	// wake slot are consumed without starting (their restart or join
+	// rejoins them); the started ids are compacted over the consumed
+	// block, which is never read again, so it stays ascending.
+	prevNext, w := e.next, e.next
+	off := e.off
 	for e.next < e.n && e.cfg.Wake[e.order[e.next]] == t {
 		id := e.order[e.next]
+		e.next++
+		if off != nil {
+			if off[id] {
+				continue
+			}
+			e.everWoke[id] = true
+		}
 		e.awake[id] = true
 		e.rs[id].count = 0 // standing state flips from asleep to awake-idle
 		if ob != nil {
@@ -672,10 +568,11 @@ func (e *Engine) wakePhase(t int64, ob Observer, met *obs.Metrics) {
 			met.AddWakeup()
 		}
 		e.cfg.Protocols[id].Start(t)
-		e.next++
+		e.order[w] = id
+		w++
 	}
-	if e.next > prevNext {
-		woken := e.order[prevNext:e.next]
+	if w > prevNext {
+		woken := e.order[prevNext:w]
 		e.undecided = mergeSorted(e.undecided, woken)
 		// Newly woken ids go to a small pending list first; merging the
 		// whole awake list every slot of a long wake ramp would cost
@@ -933,22 +830,31 @@ func (e *Engine) parallelResolve() {
 	}
 }
 
-// deliverTally is one worker's share of the deliver-phase counters.
+// deliverTally is one worker's (or tile's) share of the deliver-phase
+// counters.
 type deliverTally struct {
-	deliveries, captures, collisions int64
-	jammed, lost                     int64
+	deliveries, collisions, jammed, lost int64
+}
+
+// addTo folds the tally into the run's Result; sums are order-free.
+func (tl *deliverTally) addTo(res *Result) {
+	res.Deliveries += tl.deliveries
+	res.Collisions += tl.collisions
+	res.Jammed += tl.jammed
+	res.Lost += tl.lost
 }
 
 // parallelDeliver partitions the touched receivers across workers. A
-// receiver appears in touched exactly once (the first-touch count dedupes), so
-// no two workers ever call the same protocol, and all per-receiver
-// inputs (the rs accumulator, out, the drop and capture coins) are
+// receiver appears in touched exactly once (the first-touch count
+// dedupes), so no two workers ever call the same protocol, and all
+// per-receiver inputs (the rs accumulator, out, the fault coins) are
 // read-only pure data. Counter partials are summed in worker order;
 // sums are order-free, so the totals match the sequential deliver
 // exactly. Only taken when Config.Observer is nil: a traced run keeps
 // the sequential path so its event stream stays fully ordered.
 func (e *Engine) parallelDeliver(t int64) {
 	met := e.cfg.Metrics
+	protos := e.cfg.Protocols
 	ranges := workerRanges(len(e.touched), e.cfg.Workers)
 	tallies := make([]deliverTally, len(ranges))
 	var wg sync.WaitGroup
@@ -956,56 +862,16 @@ func (e *Engine) parallelDeliver(t int64) {
 		wg.Add(1)
 		go func(w int, us []int32) {
 			defer wg.Done()
-			var tl deliverTally
+			var tl deliverTally // local, so workers share no cache line
 			for _, u := range us {
-				r := &e.rs[u]
-				count, from := r.count, r.from
-				r.count = 0 // each receiver is in exactly one partition
-				if count >= 2 {
-					if count == 2 && e.captured(t, u) {
-						if e.fs != nil && e.faultSuppressed(t, from, u, &tl.jammed, &tl.lost, met) {
-							continue
-						}
-						tl.deliveries++
-						tl.captures++
-						if met != nil {
-							met.AddDelivery()
-							met.AddCapture()
-						}
-						e.cfg.Protocols[u].Recv(t, e.out[from])
-						continue
-					}
-					tl.collisions++
-					if met != nil {
-						met.AddCollision()
-					}
-					continue
-				}
-				if e.fs != nil && e.faultSuppressed(t, from, u, &tl.jammed, &tl.lost, met) {
-					continue
-				}
-				if e.dropped(t, u) {
-					if met != nil {
-						met.AddDrop()
-					}
-					continue
-				}
-				tl.deliveries++
-				if met != nil {
-					met.AddDelivery()
-				}
-				e.cfg.Protocols[u].Recv(t, e.out[from])
+				e.deliverOne(t, u, &tl, nil, met, nil, protos)
 			}
 			tallies[w] = tl
 		}(w, e.touched[r[0]:r[1]])
 	}
 	wg.Wait()
-	for _, tl := range tallies {
-		e.res.Deliveries += tl.deliveries
-		e.res.Captures += tl.captures
-		e.res.Collisions += tl.collisions
-		e.res.Jammed += tl.jammed
-		e.res.Lost += tl.lost
+	for i := range tallies {
+		tallies[i].addTo(&e.res)
 	}
 }
 

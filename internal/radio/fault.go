@@ -149,95 +149,8 @@ func (e *Engine) faultBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 	}
 }
 
-// filteredWake is the off-aware wake loop: nodes that are crashed or
-// absent at their wake slot are consumed from the order without
-// starting (their restart or join, if any, rejoins them), so they
-// never enter the activity lists.
-func (e *Engine) filteredWake(t int64, ob Observer, met *obs.Metrics) {
-	e.woken = e.woken[:0]
-	for e.next < e.n && e.cfg.Wake[e.order[e.next]] == t {
-		id := e.order[e.next]
-		e.next++
-		if e.off[id] {
-			continue
-		}
-		e.awake[id] = true
-		e.rs[id].count = 0
-		e.everWoke[id] = true
-		if ob != nil {
-			ob.OnWake(t, NodeID(id))
-		}
-		if met != nil {
-			met.AddWakeup()
-		}
-		e.cfg.Protocols[id].Start(t)
-		e.woken = append(e.woken, id)
-	}
-	if len(e.woken) > 0 {
-		e.undecided = mergeSorted(e.undecided, e.woken)
-		e.pending = append(e.pending, e.woken...)
-	}
-}
-
-// filteredSend is the off-aware sequential Send sweep: identical to
-// the plain sweep but skipping crashed and absent nodes (their entries
-// remain in the lists; the off flags filter them).
-func (e *Engine) filteredSend(t int64, ob Observer, met *obs.Metrics) {
-	protos := e.cfg.Protocols
-	off := e.off
-	for _, i := range e.awakeList {
-		if off[i] {
-			continue
-		}
-		if msg := protos[i].Send(t); msg != nil {
-			e.out[i] = msg
-			e.rs[i].count = txMarker
-			e.tx = append(e.tx, i)
-			e.noteTx(t, i, msg, ob, met)
-		}
-	}
-	for _, i := range e.pending {
-		if off[i] {
-			continue
-		}
-		if msg := protos[i].Send(t); msg != nil {
-			e.out[i] = msg
-			e.rs[i].count = txMarker
-			e.tx = append(e.tx, i)
-			e.noteTx(t, i, msg, ob, met)
-		}
-	}
-}
-
-// filteredDecide is the off-aware decision sweep: crashed and absent
-// nodes stay in the undecided list (they may restart or rejoin) but
-// are never polled.
-func (e *Engine) filteredDecide(t int64, ob Observer, met *obs.Metrics) {
-	w := 0
-	protos := e.cfg.Protocols
-	off := e.off
-	for _, i := range e.undecided {
-		if !off[i] && protos[i].Done() {
-			e.decided[i] = true
-			e.numDone++
-			e.res.DecideSlot[i] = t
-			if ob != nil {
-				ob.OnDecide(t, NodeID(i))
-			}
-			if met != nil {
-				met.AddDecision()
-			}
-		} else {
-			e.undecided[w] = i
-			w++
-		}
-	}
-	e.undecided = e.undecided[:w]
-}
-
 // Reception-suppression classes, ordered by precedence: the adversary
-// (jam) beats the channel (loss), which beats the legacy DropProb coin
-// applied afterwards by the caller.
+// (jam) beats the channel (loss).
 const (
 	suppressNone = iota
 	suppressJam

@@ -245,3 +245,47 @@ func (p *fixedProto) Start(int64)         {}
 func (p *fixedProto) Send(int64) Message  { p.done = true; return nil }
 func (p *fixedProto) Recv(int64, Message) {}
 func (p *fixedProto) Done() bool          { return p.done }
+
+// Reset implements Restartable for the beacon protocol.
+func (b *beaconProto) Reset() { b.beat = 0 }
+
+// TestFaultSeamZeroAlloc pins the fault seam's steady state on the
+// sequential untiled loop, where the off filter lives in the plain
+// wake, send and decide sweeps: with loss, a jammer and crash/restart
+// events all firing inside the measured window, a slot allocates
+// nothing.
+func TestFaultSeamZeroAlloc(t *testing.T) {
+	n := 32
+	protos := make([]Protocol, n)
+	for i := range protos {
+		protos[i] = &beaconProto{msg: &testMsg{from: NodeID(i)}, mod: 2 + i%5}
+	}
+	inj := mustInjector(t, &fault.Profile{
+		Seed: 5,
+		Loss: 0.2,
+		Crashes: []fault.Crash{
+			{Node: 4, At: 10, Restart: 30},
+			{Node: 9, At: 100, Restart: 300},
+			{Node: 20, At: 200},
+		},
+		Jammers: []fault.Jammer{{Nodes: []int{1, 2, 3}, From: 50, Period: 10, Duty: 3}},
+	}, n)
+	e, err := NewEngine(Config{
+		G: line(n), Protocols: protos, Wake: WakeSynchronous(n),
+		MaxSlots: 1 << 40, Faults: inj, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.Slot() < 40 { // past the first crash/restart pair
+		e.Step()
+	}
+	if allocs := testing.AllocsPerRun(500, func() { e.Step() }); allocs != 0 {
+		t.Errorf("fault-injected engine allocates %v per slot, want 0", allocs)
+	}
+	res := e.Result()
+	if res.Lost == 0 || res.Jammed == 0 || res.Crashes != 3 || res.Restarts != 2 {
+		t.Errorf("faults did not all fire in the window: lost=%d jammed=%d crashes=%d restarts=%d",
+			res.Lost, res.Jammed, res.Crashes, res.Restarts)
+	}
+}

@@ -7,9 +7,9 @@ import (
 // mediumResolveDeliver is the resolve+deliver phase of the pluggable
 // medium path (Config.Medium non-nil): the medium computes this slot's
 // receptions from the transmitter list and the standing listener
-// predicate, then each reception runs through the same suppression
-// pipeline as the built-in rule — fault jam/loss first, then the legacy
-// drop coin — before the protocol's Recv.
+// predicate, then each reception runs through the same fault
+// suppression (jam, then loss) as the built-in rule before the
+// protocol's Recv.
 //
 // The division of labor: crash faults act before the Send phase (a
 // crashed node is neither a transmitter nor a listener, which the
@@ -32,12 +32,6 @@ func (e *Engine) mediumResolveDeliver(t int64, ob Observer, met *obs.Metrics) {
 	for i := range recs {
 		r := &recs[i]
 		if e.fs != nil && e.faultSuppressed(t, r.From, r.To, &e.res.Jammed, &e.res.Lost, met) {
-			continue
-		}
-		if e.dropped(t, r.To) {
-			if met != nil {
-				met.AddDrop()
-			}
 			continue
 		}
 		e.res.Deliveries++

@@ -14,9 +14,16 @@ import (
 // bindGraphMedium binds the explicit graph-rule medium over cfg's graph.
 func bindGraphMedium(t *testing.T, cfg *Config) {
 	t.Helper()
+	bindCapture(t, cfg, 0, 0)
+}
+
+// bindCapture binds the graph-rule medium with the two-way capture coin
+// over cfg's graph.
+func bindCapture(t *testing.T, cfg *Config, capture float64, seed int64) {
+	t.Helper()
 	csr := cfg.G.CSR()
-	inst, err := (medium.GraphThreshold{}).Bind(medium.Env{
-		N: cfg.G.N(), Offsets: csr.Offsets, Edges: csr.Edges,
+	inst, err := (medium.GraphThreshold{Capture: capture}).Bind(medium.Env{
+		N: cfg.G.N(), Offsets: csr.Offsets, Edges: csr.Edges, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,8 +28,8 @@ import (
 var simulatedSlots atomic.Int64
 
 // SimulatedSlots returns the process-wide number of simulated slots.
-// The counter is monotonic and shared by the aligned, unaligned and
-// multichannel engines; rate reporting samples it over time.
+// The counter is monotonic and shared by every slot loop (untiled,
+// tiled, unaligned and reference); rate reporting samples it over time.
 func SimulatedSlots() int64 { return simulatedSlots.Load() }
 
 // NodeID identifies a node. IDs are indices into the network graph, but
@@ -147,9 +147,10 @@ type Result struct {
 	// Collisions counts (listener, slot) pairs with ≥ 2 transmitting
 	// neighbors.
 	Transmissions, Deliveries, Collisions int64
-	// Captures counts deliveries that survived a two-way collision via
-	// the capture effect: the built-in rule's probabilistic coin (0
-	// unless Config.CaptureProb > 0) or, under a SINR medium, the
+	// Captures counts deliveries that survived concurrent transmissions
+	// via the capture effect, which only a pluggable medium models (the
+	// built-in rule has no capture): the graph medium's two-way capture
+	// coin (medium.GraphThreshold.Capture) or, under a SINR medium, the
 	// strongest of ≥ 2 audible signals clearing the threshold. Included
 	// in Deliveries.
 	Captures int64

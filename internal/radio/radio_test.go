@@ -3,6 +3,7 @@ package radio
 import (
 	"testing"
 
+	"radiocolor/internal/fault"
 	"radiocolor/internal/graph"
 )
 
@@ -255,16 +256,16 @@ func TestPerNodeTx(t *testing.T) {
 }
 
 func TestDropInjection(t *testing.T) {
-	// With DropProb = 1 nothing is ever delivered.
+	// With fault loss = 1 nothing is ever delivered.
 	g := line(2)
 	protos, cfg := buildScripted(g, [][]bool{{true, true, true}, nil}, WakeSynchronous(2))
-	cfg.DropProb = 1
+	cfg.Faults = mustInjector(t, &fault.Profile{Loss: 1}, 2)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(protos[0].received)+len(protos[1].received) != 0 {
-		t.Error("messages delivered despite DropProb=1")
+		t.Error("messages delivered despite loss=1")
 	}
 	if res.Deliveries != 0 {
 		t.Errorf("Deliveries = %d", res.Deliveries)
@@ -272,15 +273,14 @@ func TestDropInjection(t *testing.T) {
 	// Determinism: the same seed drops the same deliveries.
 	run := func(seed int64) int {
 		protos, cfg := buildScripted(g, [][]bool{{true, true, true, true, true, true}, nil}, WakeSynchronous(2))
-		cfg.DropProb = 0.5
-		cfg.DropSeed = seed
+		cfg.Faults = mustInjector(t, &fault.Profile{Loss: 0.5, Seed: seed}, 2)
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
 		return len(protos[1].received)
 	}
 	if run(7) != run(7) {
-		t.Error("drop coin not deterministic")
+		t.Error("loss coin not deterministic")
 	}
 }
 
@@ -474,14 +474,13 @@ func TestStepwiseEngine(t *testing.T) {
 
 func TestCaptureEffect(t *testing.T) {
 	// Star hub with two transmitting leaves: without capture the hub
-	// hears nothing; with CaptureProb=1 it decodes the lower-indexed
-	// leaf.
+	// hears nothing; with Capture=1 it decodes the lower-indexed leaf.
 	b := graph.NewBuilder(3)
 	b.AddEdge(0, 1)
 	b.AddEdge(0, 2)
 	g := b.Build()
 	protos, cfg := buildScripted(g, [][]bool{{false}, {true}, {true}}, WakeSynchronous(3))
-	cfg.CaptureProb = 1
+	bindCapture(t, &cfg, 1, 0)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -499,7 +498,7 @@ func TestCaptureEffect(t *testing.T) {
 	b3.AddEdge(0, 3)
 	g3 := b3.Build()
 	protos3, cfg3 := buildScripted(g3, [][]bool{{false}, {true}, {true}, {true}}, WakeSynchronous(4))
-	cfg3.CaptureProb = 1
+	bindCapture(t, &cfg3, 1, 0)
 	res3, err := Run(cfg3)
 	if err != nil {
 		t.Fatal(err)
@@ -509,11 +508,12 @@ func TestCaptureEffect(t *testing.T) {
 	}
 	// Capture is off by default.
 	protosOff, cfgOff := buildScripted(g, [][]bool{{false}, {true}, {true}}, WakeSynchronous(3))
+	bindGraphMedium(t, &cfgOff)
 	if _, err := Run(cfgOff); err != nil {
 		t.Fatal(err)
 	}
 	if len(protosOff[0].received) != 0 {
-		t.Error("capture fired with CaptureProb=0")
+		t.Error("capture fired with Capture=0")
 	}
 }
 
@@ -524,8 +524,9 @@ func TestCaptureDeterministic(t *testing.T) {
 		for i := range protos {
 			protos[i] = &randProto{id: NodeID(i), rng: NodeRand(3, NodeID(i)), p: 0.4, limit: 300}
 		}
-		res, err := Run(Config{G: g, Protocols: protos, Wake: WakeSynchronous(g.N()),
-			CaptureProb: 0.5, DropSeed: 11})
+		cfg := Config{G: g, Protocols: protos, Wake: WakeSynchronous(g.N())}
+		bindCapture(t, &cfg, 0.5, 11)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,14 +67,6 @@ func NewReferenceEngine(cfg Config) (*ReferenceEngine, error) {
 	return e, nil
 }
 
-func (e *ReferenceEngine) dropped(slot int64, receiver int32) bool {
-	return dropCoin(e.cfg.DropSeed, slot, receiver, e.cfg.DropProb)
-}
-
-func (e *ReferenceEngine) captured(slot int64, receiver int32) bool {
-	return captureCoin(e.cfg.DropSeed, slot, receiver, e.cfg.CaptureProb)
-}
-
 // Step simulates one slot with the seed loop. It returns false when the
 // run is over.
 func (e *ReferenceEngine) Step() bool {
@@ -142,33 +134,12 @@ func (e *ReferenceEngine) Step() bool {
 			continue // asleep, or transmitting: hears nothing
 		}
 		if count >= 2 {
-			if count == 2 && e.captured(t, u) {
-				// Capture effect: the first-recorded (lowest-indexed)
-				// transmitter's signal survives the two-way collision.
-				e.res.Deliveries++
-				e.res.Captures++
-				if ob != nil {
-					ob.OnDeliver(t, NodeID(u), msg)
-				}
-				if met != nil {
-					met.AddDelivery()
-					met.AddCapture()
-				}
-				e.cfg.Protocols[u].Recv(t, msg)
-				continue
-			}
 			e.res.Collisions++
 			if ob != nil {
 				ob.OnCollision(t, NodeID(u), int(count))
 			}
 			if met != nil {
 				met.AddCollision()
-			}
-			continue
-		}
-		if e.dropped(t, u) {
-			if met != nil {
-				met.AddDrop()
 			}
 			continue
 		}

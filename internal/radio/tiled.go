@@ -29,8 +29,8 @@ import (
 // slot work — its protocols, accumulators and list segments, a couple
 // of MB — stays cache-resident across fused phases instead of being
 // streamed four times. Because every accumulator merge is order-free
-// (counts add, the winning sender is a min) and the per-node coins are
-// pure functions of (seed, slot, node), the tiled loop is bit-identical
+// (counts add, the winning sender is a min) and the fault coins are
+// pure functions of (seed, slot, link), the tiled loop is bit-identical
 // to the untiled engine at any tile and worker count; the tiled
 // differential suite pins this. Tiles are independent, so under
 // Workers > 1 both sweeps distribute tiles over goroutines with a
@@ -337,11 +337,7 @@ func (e *Engine) stepTiled() bool {
 		if tl.maxBits > e.res.MaxMessageBits {
 			e.res.MaxMessageBits = tl.maxBits
 		}
-		e.res.Deliveries += tl.deliveries
-		e.res.Captures += tl.captures
-		e.res.Collisions += tl.collisions
-		e.res.Jammed += tl.jammed
-		e.res.Lost += tl.lost
+		tl.deliverTally.addTo(&e.res)
 		e.numDone += int(tl.decisions)
 		e.silentCount += int(tl.silenced)
 		*tl = tileTally{}
@@ -488,7 +484,7 @@ func (e *Engine) tileSendResolve(k int, t int64) {
 		w := 0
 		for _, u := range touched {
 			if interior[u] {
-				e.deliverOne(t, u, tl, nil, met, sil, protos)
+				e.deliverOne(t, u, &tl.deliverTally, nil, met, sil, protos)
 			} else {
 				touched[w] = u
 				w++
@@ -560,13 +556,13 @@ func (e *Engine) tileDeliverDecide(k int, t int64) {
 		ts.cross[s*tiles+k] = bucket[:0]
 	}
 
-	// Deliver: the exactly-one rule plus capture, drop and fault
-	// suppression, exactly as in the untiled deliver phase. On untraced
-	// runs sweep 1 already delivered the tile's interior listeners, so
-	// this walks only the boundary ring plus bucket-fold touches.
+	// Deliver: the exactly-one rule with fault suppression, exactly as
+	// in the untiled deliver phase. On untraced runs sweep 1 already
+	// delivered the tile's interior listeners, so this walks only the
+	// boundary ring plus bucket-fold touches.
 	sil := e.silent
 	for _, u := range touched {
-		e.deliverOne(t, u, tl, ob, met, sil, protos)
+		e.deliverOne(t, u, &tl.deliverTally, ob, met, sil, protos)
 	}
 	ts.touched[k] = touched[:0]
 
@@ -612,34 +608,18 @@ func (e *Engine) tileDeliverDecide(k int, t int64) {
 }
 
 // deliverOne finishes one touched listener for slot t: read-and-clear
-// its accumulator, apply the exactly-one rule with capture, drop and
+// its accumulator, apply the model's reception rule — the listener
+// decodes iff exactly one neighbor transmitted, and no capture — with
 // fault suppression, and hand a successful delivery to the protocol.
-// Shared by sweep 2's deliver loop and sweep 1's fused interior pass;
-// ob is nil on the latter (fusion only runs untraced).
-func (e *Engine) deliverOne(t int64, u int32, tl *tileTally, ob Observer, met *obs.Metrics, sil []bool, protos []Protocol) {
+// It is the built-in rule's only statement, shared by the untiled
+// sequential and parallel deliver phases and by both tiled sweeps; ob
+// is nil on the parallel and fused-interior callers (both run
+// untraced).
+func (e *Engine) deliverOne(t int64, u int32, tl *deliverTally, ob Observer, met *obs.Metrics, sil []bool, protos []Protocol) {
 	r := &e.rs[u]
 	count, from := r.count, r.from
 	r.count = 0
 	if count >= 2 {
-		if count == 2 && e.captured(t, u) {
-			if e.fs != nil && e.faultSuppressed(t, from, u, &tl.jammed, &tl.lost, met) {
-				return
-			}
-			tl.deliveries++
-			tl.captures++
-			msg := e.out[from]
-			if ob != nil {
-				ob.OnDeliver(t, NodeID(u), msg)
-			}
-			if met != nil {
-				met.AddDelivery()
-				met.AddCapture()
-			}
-			if sil == nil || !sil[u] {
-				protos[u].Recv(t, msg)
-			}
-			return
-		}
 		tl.collisions++
 		if ob != nil {
 			ob.OnCollision(t, NodeID(u), int(count))
@@ -650,12 +630,6 @@ func (e *Engine) deliverOne(t int64, u int32, tl *tileTally, ob Observer, met *o
 		return
 	}
 	if e.fs != nil && e.faultSuppressed(t, from, u, &tl.jammed, &tl.lost, met) {
-		return
-	}
-	if e.dropped(t, u) {
-		if met != nil {
-			met.AddDrop()
-		}
 		return
 	}
 	tl.deliveries++

@@ -19,8 +19,8 @@ import (
 // exchange for cross-tile edges, per-tile counter tallies — and all of
 // it is claimed order-free, so the contract is strict: for any tile and
 // worker count the tiled engine's Result and protocol outcomes are
-// bit-identical to the untiled kernel, with every seam (faults, drop/
-// capture coins, observers, media fallback) composed. The second axis
+// bit-identical to the untiled kernel, with every seam (faults, loss
+// and capture coins, observers, media fallback) composed. The second axis
 // pins the relabeling pass: a run on a permuted graph, mapped back
 // through the inverse permutation, is byte-identical to the original.
 
@@ -33,9 +33,9 @@ func runTiledVariant(t *testing.T, c diffCase, workers, tiles int) (*radio.Resul
 	cfg := radio.Config{
 		G: c.g, Protocols: protos, Wake: c.wake,
 		MaxSlots: diffBudget, NEstimate: par.N,
-		DropProb: c.drop, DropSeed: c.seed, CaptureProb: c.capture,
 		Workers: workers, Tiles: tiles,
 	}
+	c.addCoins(t, &cfg)
 	res, err := radio.Run(cfg)
 	if err != nil {
 		t.Fatalf("%s workers=%d tiles=%d: %v", c.name, workers, tiles, err)
@@ -65,8 +65,9 @@ var tiledVariants = []struct {
 }
 
 // TestTiledDifferentialMatchesUntiled is the headline pin: over the
-// full graph × wakeup-schedule × seed matrix (plus drop and capture
-// coin cases), the tiled kernel is bit-identical to the untiled one at
+// full graph × wakeup-schedule × seed matrix (plus loss and capture
+// coin cases; a capture medium runs the untiled loop at any Tiles), the
+// tiled kernel is bit-identical to the untiled one at
 // every tile and worker count — Result, colors, and intra-cluster
 // colors all DeepEqual.
 func TestTiledDifferentialMatchesUntiled(t *testing.T) {
@@ -94,6 +95,7 @@ func TestTiledDifferentialMatchesUntiled(t *testing.T) {
 			if baseRes.Deliveries == 0 {
 				t.Fatal("no deliveries; differential is vacuous")
 			}
+			checkCoinsFired(t, c, baseRes)
 		})
 	}
 }
@@ -102,7 +104,9 @@ func TestTiledDifferentialMatchesUntiled(t *testing.T) {
 // — the regime where the split resolve (intra-tile accumulate, then
 // boundary-exchange fold) is most likely to drift from the single-pass
 // accumulation: count sums crossing txMarker/asleep sentinels, lowest-
-// sender selection across tiles, capture on exactly-two collisions.
+// sender selection across tiles. The capture arm composes the graph
+// medium's two-way capture coin, which takes the untiled loop at any
+// tile count.
 func TestTiledScriptedCollisions(t *testing.T) {
 	for _, seed := range []int64{3, 9, 27} {
 		g := erdosRenyi(40, 0.15, seed)
@@ -115,15 +119,17 @@ func TestTiledScriptedCollisions(t *testing.T) {
 			}
 		}
 		wake := radio.WakeUniform(g.N(), 20, seed)
-		run := func(workers, tiles int) *radio.Result {
+		run := func(workers, tiles int, capture float64) *radio.Result {
 			protos := make([]radio.Protocol, g.N())
 			for i := range protos {
 				protos[i] = &scriptedDiffProto{id: radio.NodeID(i), script: scripts[i]}
 			}
 			cfg := radio.Config{
 				G: g, Protocols: protos, Wake: wake,
-				MaxSlots: 120, CaptureProb: 0.4, DropSeed: seed,
-				Workers: workers, Tiles: tiles,
+				MaxSlots: 120, Workers: workers, Tiles: tiles,
+			}
+			if capture > 0 {
+				cfg.Medium = bindCapture(t, g, capture, seed)
 			}
 			res, err := radio.Run(cfg)
 			if err != nil {
@@ -131,13 +137,16 @@ func TestTiledScriptedCollisions(t *testing.T) {
 			}
 			return res
 		}
-		ref := run(1, 0)
+		ref, capRef := run(1, 0, 0), run(1, 0, 0.4)
 		for _, v := range tiledVariants {
-			if got := run(v.workers, v.tiles); !reflect.DeepEqual(got, ref) {
+			if got := run(v.workers, v.tiles, 0); !reflect.DeepEqual(got, ref) {
 				t.Fatalf("seed %d: tiled %s diverged\n ref: %+v\n got: %+v", seed, v.label, ref, got)
 			}
+			if got := run(v.workers, v.tiles, 0.4); !reflect.DeepEqual(got, capRef) {
+				t.Fatalf("seed %d: tiled %s with capture diverged\n ref: %+v\n got: %+v", seed, v.label, capRef, got)
+			}
 		}
-		if ref.Collisions == 0 || ref.Captures == 0 {
+		if ref.Collisions == 0 || capRef.Captures == 0 {
 			t.Fatalf("seed %d: no collisions/captures; scripted differential is vacuous", seed)
 		}
 	}
@@ -480,7 +489,7 @@ func sortInt32Slice(xs []int32) {
 // the inverse permutation, to be byte-identical: every scalar counter,
 // every per-node array, every protocol's reception count. This is what
 // licenses the public Tiling option to relabel behind the caller's
-// back. Probabilistic coins (drop, capture, loss, burst, Prob jammers)
+// back. Probabilistic coins (capture, loss, burst, Prob jammers)
 // hash node ids and are deliberately excluded; the composition of
 // those with tiling is pinned by the same-graph axis above.
 func TestTiledPermutationDifferential(t *testing.T) {

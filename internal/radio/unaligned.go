@@ -99,12 +99,18 @@ type unaligned struct {
 	selfTx [][8]bool
 
 	prev []txRec // transmissions initiated in the previous slot
+
+	// collAt[w] is 1 + the last slot a collision was counted at w, so a
+	// listener that several overlapping transmissions reach counts one
+	// collision per slot, as Result.Collisions documents.
+	collAt []int64
 }
 
 func (u *unaligned) init() {
 	n := u.e.n
 	u.occ = make([][8]int16, n)
 	u.selfTx = make([][8]bool, n)
+	u.collAt = make([]int64, n)
 }
 
 // clearHalf zeroes ring entries for half-slot h across all nodes.
@@ -192,22 +198,23 @@ func (u *unaligned) step() bool {
 				continue
 			}
 			blocked := false
-			collided := false
+			overlap := int16(0) // peak audible transmitters in one half
 			for _, h := range [2]int64{tx.h0, tx.h0 + 1} {
 				idx := h & 7
 				if u.selfTx[w][idx] {
 					blocked = true
 				}
-				if u.occ[w][idx] > 1 {
+				if c := u.occ[w][idx]; c > 1 {
 					blocked = true
-					collided = true
+					overlap = max(overlap, c)
 				}
 			}
 			if blocked {
-				if collided {
+				if overlap > 0 && u.collAt[w] != t+1 {
+					u.collAt[w] = t + 1
 					e.res.Collisions++
 					if ob != nil {
-						ob.OnCollision(t, NodeID(w), 2)
+						ob.OnCollision(t, NodeID(w), int(overlap))
 					}
 					if met != nil {
 						met.AddCollision()
@@ -216,12 +223,6 @@ func (u *unaligned) step() bool {
 				continue
 			}
 			if e.fs != nil && e.faultSuppressed(t, int32(v), w, &e.res.Jammed, &e.res.Lost, met) {
-				continue
-			}
-			if e.dropped(t, w) {
-				if met != nil {
-					met.AddDrop()
-				}
 				continue
 			}
 			e.res.Deliveries++

@@ -145,3 +145,46 @@ func TestUnalignedSleepersDeaf(t *testing.T) {
 
 // lineGraph alias for readability in this file.
 var _ = func() *graph.Graph { return line(2) }
+
+// collisionLog records the OnCollision events of a run.
+type collisionLog struct {
+	NopObserver
+	at, transmitters []int
+}
+
+func (c *collisionLog) OnCollision(_ int64, at NodeID, transmitters int) {
+	c.at = append(c.at, int(at))
+	c.transmitters = append(c.transmitters, transmitters)
+}
+
+func TestUnalignedCollisionCountedOncePerListener(t *testing.T) {
+	// Result.Collisions counts (listener, slot) pairs: a listener that k
+	// overlapping transmissions reach collides once, with k reported.
+	for _, k := range []int{2, 3} {
+		b := graph.NewBuilder(k + 1)
+		for leaf := 1; leaf <= k; leaf++ {
+			b.AddEdge(0, leaf)
+		}
+		scripts := make([][]bool, k+1)
+		for leaf := 1; leaf <= k; leaf++ {
+			scripts[leaf] = []bool{true}
+		}
+		protos, cfg := buildScripted(b.Build(), scripts, WakeSynchronous(k+1))
+		log := &collisionLog{}
+		cfg.Observer = log
+		res, err := RunUnaligned(cfg, make([]int8, k+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(protos[0].received) != 0 {
+			t.Errorf("k=%d: hub received %v through a collision", k, protos[0].received)
+		}
+		if res.Collisions != 1 {
+			t.Errorf("k=%d: Collisions = %d, want 1", k, res.Collisions)
+		}
+		if len(log.at) != 1 || log.at[0] != 0 || log.transmitters[0] != k {
+			t.Errorf("k=%d: OnCollision at %v with %v transmitters, want one event at 0 with %d",
+				k, log.at, log.transmitters, k)
+		}
+	}
+}
