@@ -3,6 +3,7 @@ package radiocolor
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,6 +25,11 @@ func TestOptionsValidate(t *testing.T) {
 		{"bad shim", Options{WakeupName: "bogus"}, "unknown wakeup"},
 		{"bad typed", Options{Wakeup: Wakeup(99)}, "invalid wakeup"},
 		{"negative scale", Options{ParamScale: -1}, "ParamScale"},
+		{"NaN scale", Options{ParamScale: math.NaN()}, "ParamScale"},
+		{"infinite scale", Options{ParamScale: math.Inf(1)}, "ParamScale"},
+		{"overflowing scale", Options{ParamScale: 1e308}, "ParamScale"},
+		{"slot count past 2^62 on any graph", Options{ParamScale: 1e17}, "2^62"},
+		{"large but representable scale", Options{ParamScale: 1e6}, ""},
 		{"negative slots", Options{MaxSlots: -5}, "MaxSlots"},
 		{"negative workers", Options{Workers: -2}, "Workers"},
 		{"trace no dest", Options{Trace: &TraceConfig{}}, "needs Path or W"},
@@ -60,6 +66,26 @@ func TestValidationBeforeWork(t *testing.T) {
 	_, err = ColorUnitDisk([][2]float64{{0, 0}}, 1, Options{ParamScale: -3})
 	if err == nil || !strings.Contains(err.Error(), "ParamScale") {
 		t.Errorf("ColorUnitDisk did not validate: %v", err)
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), 1e308} {
+		if _, err := ColorGraph(ringAdj(8), Options{ParamScale: scale}); err == nil || !strings.Contains(err.Error(), "ParamScale") {
+			t.Errorf("ParamScale %g: err = %v", scale, err)
+		}
+	}
+}
+
+// TestParamScaleOverflowOnGraph covers a scale that is valid on the
+// smallest network but, once the concrete graph's log n enters, drives
+// the decision threshold past 2^62 slots. The run must fail with an
+// error rather than build nodes whose slot counts wrapped around.
+func TestParamScaleOverflowOnGraph(t *testing.T) {
+	opt := Options{ParamScale: 5e16}
+	if err := opt.Validate(); err != nil {
+		t.Fatalf("scale rejected before the graph is known: %v", err)
+	}
+	_, err := ColorGraph(ringAdj(64), opt)
+	if err == nil || !strings.Contains(err.Error(), "ParamScale") || !strings.Contains(err.Error(), "2^62") {
+		t.Fatalf("err = %v, want a ParamScale slot-count error", err)
 	}
 }
 

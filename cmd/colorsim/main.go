@@ -114,6 +114,10 @@ func main() {
 		return
 	}
 	par := experiment.MeasureParams(d).Scale(*scale)
+	if err := par.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "colorsim: -scale %g: %v\n", *scale, err)
+		os.Exit(2)
+	}
 	var wake []int64
 	for _, p := range radio.WakePatterns {
 		if p.Name == *wakeup {
@@ -126,7 +130,7 @@ func main() {
 	}
 	budget := *maxSlots
 	if budget <= 0 {
-		budget = int64(par.Kappa2+2) * par.Threshold() * 40
+		budget = par.SlotBudget()
 	}
 	// Observability: -trace streams JSONL, -trace-tail keeps a ring for
 	// the post-run dump, -metrics adds counters and the phase timeline.

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -41,6 +44,29 @@ func TestSummarizeFloats(t *testing.T) {
 	for _, want := range []string{"mean=", "p90=", "max=4"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary %q missing %q", s, want)
+		}
+	}
+}
+
+// TestBadScaleExitsUsage runs colorsim in a child process: a -scale
+// that makes the protocol constants non-finite, negative, or push a
+// slot count past 2^62 is a usage error (exit 2), not a run that
+// "completes" with an improper coloring.
+func TestBadScaleExitsUsage(t *testing.T) {
+	if args := os.Getenv("COLORSIM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"colorsim"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, scale := range []string{"NaN", "+Inf", "1e308", "-1"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadScaleExitsUsage$")
+		cmd.Env = append(os.Environ(), "COLORSIM_TEST_ARGS=-n 20 -scale "+scale)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("-scale %s: err = %v, want exit 2; output:\n%s", scale, err, out)
+		} else if !strings.Contains(string(out), "-scale") {
+			t.Errorf("-scale %s: message does not name the flag:\n%s", scale, out)
 		}
 	}
 }

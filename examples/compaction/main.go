@@ -27,7 +27,7 @@ func main() {
 
 	// Stage 1: the paper's algorithm, from scratch.
 	run, err := experiment.RunCore(d, par, radio.WakeSynchronous(d.N()), 5,
-		int64(par.Kappa2+2)*par.Threshold()*40, core.Ablation{})
+		par.SlotBudget(), core.Ablation{})
 	if err != nil || !run.Correct() {
 		log.Fatalf("initialization failed: %v", err)
 	}

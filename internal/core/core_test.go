@@ -52,10 +52,48 @@ func TestParamsValidate(t *testing.T) {
 		{Alpha: 1, Beta: 1, Gamma: 1, Sigma: 1, N: 1, Delta: 2, Kappa1: 3, Kappa2: 2},
 		{Alpha: 0, Beta: 1, Gamma: 1, Sigma: 1, N: 1, Delta: 2, Kappa1: 1, Kappa2: 2},
 		{Alpha: 1, Beta: 1, Gamma: -1, Sigma: 1, N: 1, Delta: 2, Kappa1: 1, Kappa2: 2},
+		// Non-finite constants: NaN slips past a "≤ 0" test.
+		{Alpha: math.NaN(), Beta: 1, Gamma: 1, Sigma: 1, N: 1, Delta: 2, Kappa1: 1, Kappa2: 2},
+		{Alpha: 1, Beta: math.Inf(1), Gamma: 1, Sigma: 1, N: 1, Delta: 2, Kappa1: 1, Kappa2: 2},
+		// Finite constants whose derived counts overflow float64 or 2^62.
+		{Alpha: 1, Beta: 1, Gamma: 1, Sigma: 1e308, N: 1, Delta: 2, Kappa1: 1, Kappa2: 2},
+		{Alpha: 1, Beta: 1, Gamma: 1, Sigma: 2e18, N: 1, Delta: 2, Kappa1: 1, Kappa2: 2},
+		{Alpha: 1, Beta: 1, Gamma: 1e17, Sigma: 1, N: 1 << 20, Delta: 1000, Kappa1: 1, Kappa2: 2},
 	}
 	for i, p := range bad {
 		if p.Validate() == nil {
 			t.Errorf("case %d: expected error", i)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d: NewNode accepted invalid params", i)
+				}
+			}()
+			NewNode(0, radio.NodeRand(1, 0), p, Ablation{})
+		}()
+	}
+	// The largest counts still in range are accepted.
+	edge := Params{Alpha: 1, Beta: 1, Gamma: 1, Sigma: 1 << 58, N: 1, Delta: 2, Kappa1: 1, Kappa2: 2}
+	if err := edge.Validate(); err != nil || edge.Threshold() != 1<<60 {
+		t.Errorf("threshold 2^60: %v, %d", err, edge.Threshold())
+	}
+}
+
+// TestDerivedMatchesParams pins the constants NewNode precomputes to the
+// public Params methods they replace on the hot path.
+func TestDerivedMatchesParams(t *testing.T) {
+	for _, p := range []Params{testParams(), Practical(1000, 22, 5, 18).Scale(1.5), Theoretical(50, 7, 3, 9)} {
+		k, err := p.derive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := derived{
+			waitSlots: p.WaitSlots(), threshold: p.Threshold(), serveSlots: p.ServeSlots(),
+			crit: [2]int64{p.CriticalRange(0), p.CriticalRange(5)}, pSend: p.PSend(), pLeader: p.PLeader(),
+		}
+		if k != want {
+			t.Errorf("%+v: derived %+v, want %+v", p, k, want)
 		}
 	}
 }
@@ -185,10 +223,10 @@ func TestChiAvoidsCriticalRanges(t *testing.T) {
 	r := v.par.CriticalRange(2)
 	// Competitors at counters 0, −3, 100 (all observed at slot 10,
 	// queried at slot 10 → d = base).
-	v.comp = map[radio.NodeID]competitor{
-		1: {base: 0, at: 10},
-		2: {base: -3, at: 10},
-		3: {base: 100, at: 10},
+	v.comp = []competitor{
+		{id: 1, base: 0, at: 10},
+		{id: 2, base: -3, at: 10},
+		{id: 3, base: 100, at: 10},
 	}
 	x := v.chi(10)
 	if x > 0 {
@@ -201,7 +239,7 @@ func TestChiAvoidsCriticalRanges(t *testing.T) {
 		}
 	}
 	// With no competitors, χ = 0 (the maximum allowed value).
-	v.comp = map[radio.NodeID]competitor{}
+	v.comp = v.comp[:0]
 	if got := v.chi(10); got != 0 {
 		t.Errorf("χ with empty P_v = %d, want 0", got)
 	}
@@ -214,7 +252,7 @@ func TestChiAccountsForElapsedSlots(t *testing.T) {
 	r := v.par.CriticalRange(0)
 	// A competitor reported counter 5 at slot 0; by slot 40 its local
 	// copy is 45.
-	v.comp = map[radio.NodeID]competitor{1: {base: 5, at: 0}}
+	v.comp = []competitor{{id: 1, base: 5, at: 0}}
 	x := v.chi(40)
 	d := int64(45)
 	if x >= d-r && x <= d+r {
@@ -234,12 +272,12 @@ func TestQuickChiProperty(t *testing.T) {
 		v.Start(0)
 		v.class = 1
 		slot := int64(slotOff)
-		v.comp = make(map[radio.NodeID]competitor)
+		v.comp = v.comp[:0]
 		for i, b := range bases {
 			if i >= 12 {
 				break
 			}
-			v.comp[radio.NodeID(i+1)] = competitor{base: int64(b), at: 0}
+			v.comp = append(v.comp, competitor{id: radio.NodeID(i + 1), base: int64(b), at: 0})
 		}
 		r := v.par.CriticalRange(1)
 		x := v.chi(slot)
@@ -417,8 +455,10 @@ func TestCriticalRangeReset(t *testing.T) {
 	v.Recv(2, &MsgA{From: 3, Class: 7, Counter: before})
 	if v.counter != before || len(v.comp) != 3 {
 		// comp has senders 1, 2 (class 0); sender 3 must not appear.
-		if _, ok := v.comp[3]; ok {
-			t.Fatal("foreign-class competitor recorded")
+		for _, c := range v.comp {
+			if c.id == 3 {
+				t.Fatal("foreign-class competitor recorded")
+			}
 		}
 	}
 }
@@ -472,7 +512,7 @@ func TestLeaderQueueService(t *testing.T) {
 	assigns := make(map[radio.NodeID]int32)
 	serve := v.par.ServeSlots()
 	for s := int64(0); s < 40*serve; s++ {
-		if msg := v.coloredSend(); msg != nil {
+		if msg := v.coloredSend(s); msg != nil {
 			if a, ok := msg.(*MsgAssign); ok {
 				if prev, seen := assigns[a.To]; seen && prev != a.TC {
 					t.Fatalf("node %d assigned twice: %d then %d", a.To, prev, a.TC)
@@ -502,7 +542,7 @@ func TestLeaderBeaconsWhenIdle(t *testing.T) {
 	v.becomeColored()
 	saw := false
 	for s := 0; s < 200 && !saw; s++ {
-		if msg := v.coloredSend(); msg != nil {
+		if msg := v.coloredSend(int64(s)); msg != nil {
 			c, ok := msg.(*MsgC)
 			if !ok || c.Class != 0 {
 				t.Fatalf("idle leader sent %v", msg)
@@ -581,7 +621,7 @@ func TestLeaderAssignmentMemory(t *testing.T) {
 			v.Recv(0, &MsgR{From: w, Leader: 0})
 			var tc int32 = -1
 			for s := int64(0); s < 50*v.par.ServeSlots(); s++ {
-				if msg := v.coloredSend(); msg != nil {
+				if msg := v.coloredSend(s); msg != nil {
 					if a, ok := msg.(*MsgAssign); ok && a.To == w {
 						tc = a.TC
 					}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"radiocolor/internal/radio"
 )
@@ -47,11 +48,32 @@ func (p Phase) String() string {
 }
 
 // competitor is one entry of the local competitor list P_v: the stored
-// counter copy d_v(w) is base at slot at and is implicitly incremented
-// every slot (Algorithm 1, lines 5 and 18), so d_v(w)(t) = base + t − at.
+// counter copy d_v(w) of competitor id is base at slot at and is
+// implicitly incremented every slot (Algorithm 1, lines 5 and 18), so
+// d_v(w)(t) = base + t − at.
 type competitor struct {
+	id   radio.NodeID
 	base int64
 	at   int64
+}
+
+// outbox holds the node's transmitted messages, two of each kind,
+// indexed by slot&1. Send returns a pointer into it instead of a fresh
+// allocation; a message stays valid through the slot after its Send
+// (the radio.Protocol.Send contract), because its buffer is rewritten
+// only two slots later.
+type outbox struct {
+	a   [2]MsgA
+	c   [2]MsgC
+	r   [2]MsgR
+	asg [2]MsgAssign
+}
+
+// put stores m in the buffer of slot and returns it.
+func put[M any](buf *[2]M, slot int64, m M) *M {
+	b := &buf[slot&1]
+	*b = m
+	return b
 }
 
 // Node is one protocol instance: the full per-node state machine of
@@ -62,7 +84,9 @@ type Node struct {
 	id  radio.NodeID
 	rng radio.Rand
 	par Params
+	k   derived // constants derived from par once, read every tick
 	abl Ablation
+	out outbox
 
 	phase  Phase
 	class  int32 // verification class i while in A_i, color class in C_i
@@ -72,11 +96,11 @@ type Node struct {
 
 	waitLeft int64
 	counter  int64
-	comp     map[radio.NodeID]competitor
+	comp     []competitor // P_v, one entry per competitor id
 
 	// Leader request service (class 0 only; Algorithm 3, lines 6–23).
+	// queue holds each pending requester once; queue[0] is being served.
 	queue     []radio.NodeID
-	inQueue   map[radio.NodeID]bool
 	assigned  map[radio.NodeID]int32 // only with Ablation.LeaderAssignmentMemory
 	tcNext    int32
 	serveLeft int64
@@ -107,13 +131,15 @@ type Node struct {
 // (it only needs to be unique; the algorithm performs no arithmetic on
 // it), rng its private random stream.
 func NewNode(id radio.NodeID, rng radio.Rand, par Params, abl Ablation) *Node {
-	if err := par.Validate(); err != nil {
+	k, err := par.derive()
+	if err != nil {
 		panic(err)
 	}
 	return &Node{
 		id:     id,
 		rng:    rng,
 		par:    par,
+		k:      k,
 		abl:    abl,
 		tc:     -1,
 		color:  -1,
@@ -156,9 +182,8 @@ func (v *Node) Reset() {
 	v.color = -1
 	v.waitLeft = 0
 	v.counter = 0
-	v.comp = nil
-	v.queue = nil
-	v.inQueue = nil
+	v.comp = v.comp[:0]
+	v.queue = v.queue[:0]
 	v.assigned = nil
 	v.tcNext = 0
 	v.serveLeft = 0
@@ -173,12 +198,9 @@ func (v *Node) Reset() {
 func (v *Node) enterVerify(class int32) {
 	v.phase = PhaseWaiting
 	v.class = class
-	v.comp = make(map[radio.NodeID]competitor)
+	v.comp = v.comp[:0]
 	v.counter = 0
-	v.waitLeft = v.par.WaitSlots()
-	if v.waitLeft < 1 {
-		v.waitLeft = 1
-	}
+	v.waitLeft = v.k.waitSlots
 	v.logTransition(PhaseWaiting, class)
 }
 
@@ -198,25 +220,25 @@ func (v *Node) Send(slot int64) radio.Message {
 
 	case PhaseActive:
 		v.counter++ // line 17
-		if v.counter >= v.par.Threshold() {
+		if v.counter >= v.k.threshold {
 			// Lines 19–20: irrevocable decision, Algorithm 3 starts in
 			// the same slot.
 			v.becomeColored()
-			return v.coloredSend()
+			return v.coloredSend(slot)
 		}
-		if v.rng.Float64() < v.par.PSend() {
-			return &MsgA{From: v.id, Class: v.class, Counter: v.counter} // line 22
+		if v.rng.Float64() < v.k.pSend {
+			return put(&v.out.a, slot, MsgA{From: v.id, Class: v.class, Counter: v.counter}) // line 22
 		}
 		return nil
 
 	case PhaseRequest:
-		if v.rng.Float64() < v.par.PSend() {
-			return &MsgR{From: v.id, Leader: v.leader} // Algorithm 2, line 2
+		if v.rng.Float64() < v.k.pSend {
+			return put(&v.out.r, slot, MsgR{From: v.id, Leader: v.leader}) // Algorithm 2, line 2
 		}
 		return nil
 
 	case PhaseColored:
-		return v.coloredSend()
+		return v.coloredSend(slot)
 	}
 	return nil
 }
@@ -226,7 +248,6 @@ func (v *Node) becomeColored() {
 	v.phase = PhaseColored
 	v.color = v.class
 	if v.class == 0 {
-		v.inQueue = make(map[radio.NodeID]bool)
 		if v.abl.LeaderAssignmentMemory {
 			v.assigned = make(map[radio.NodeID]int32)
 		}
@@ -236,11 +257,11 @@ func (v *Node) becomeColored() {
 }
 
 // coloredSend implements Algorithm 3's per-slot behavior.
-func (v *Node) coloredSend() radio.Message {
+func (v *Node) coloredSend(slot int64) radio.Message {
 	if v.class > 0 {
 		// Line 4: keep announcing C_i membership.
-		if v.rng.Float64() < v.par.PSend() {
-			return &MsgC{From: v.id, Class: v.class}
+		if v.rng.Float64() < v.k.pSend {
+			return put(&v.out.c, slot, MsgC{From: v.id, Class: v.class})
 		}
 		return nil
 	}
@@ -248,8 +269,8 @@ func (v *Node) coloredSend() radio.Message {
 	if v.serveLeft == 0 {
 		if len(v.queue) == 0 {
 			// Line 14: beacon so A₀ neighbors learn of the leader.
-			if v.rng.Float64() < v.par.PLeader() {
-				return &MsgC{From: v.id, Class: 0}
+			if v.rng.Float64() < v.k.pLeader {
+				return put(&v.out.c, slot, MsgC{From: v.id, Class: 0})
 			}
 			return nil
 		}
@@ -265,20 +286,17 @@ func (v *Node) coloredSend() radio.Message {
 				v.assigned[v.serveTo] = v.serveTC
 			}
 		}
-		v.serveLeft = v.par.ServeSlots()
-		if v.serveLeft < 1 {
-			v.serveLeft = 1
-		}
+		v.serveLeft = v.k.serveSlots
 	}
 	v.serveLeft--
 	var out radio.Message
-	if v.rng.Float64() < v.par.PLeader() {
-		out = &MsgAssign{From: v.id, To: v.serveTo, TC: v.serveTC} // line 19
+	if v.rng.Float64() < v.k.pLeader {
+		out = put(&v.out.asg, slot, MsgAssign{From: v.id, To: v.serveTo, TC: v.serveTC}) // line 19
 	}
 	if v.serveLeft == 0 {
-		// Line 21: the window closed; drop the request.
-		v.queue = v.queue[1:]
-		delete(v.inQueue, v.serveTo)
+		// Line 21: the window closed; drop the request (shifting in
+		// place keeps the queue's storage for later requests).
+		v.queue = v.queue[:copy(v.queue, v.queue[1:])]
 	}
 	return out
 }
@@ -302,9 +320,8 @@ func (v *Node) Recv(slot int64, msg radio.Message) {
 		}
 	case *MsgR:
 		// Algorithm 3, lines 10–12: leaders enqueue fresh requests.
-		if v.phase == PhaseColored && v.class == 0 && m.Leader == v.id && !v.inQueue[m.From] {
+		if v.phase == PhaseColored && v.class == 0 && m.Leader == v.id && !slices.Contains(v.queue, m.From) {
 			v.queue = append(v.queue, m.From)
-			v.inQueue[m.From] = true
 		}
 	}
 }
@@ -315,7 +332,14 @@ func (v *Node) recvA(slot int64, m *MsgA) {
 	if (v.phase != PhaseWaiting && v.phase != PhaseActive) || m.Class != v.class {
 		return
 	}
-	v.comp[m.From] = competitor{base: m.Counter, at: slot}
+	i := 0
+	for i < len(v.comp) && v.comp[i].id != m.From {
+		i++
+	}
+	if i == len(v.comp) {
+		v.comp = append(v.comp, competitor{id: m.From})
+	}
+	v.comp[i].base, v.comp[i].at = m.Counter, slot
 	if v.phase != PhaseActive {
 		return
 	}
@@ -332,7 +356,7 @@ func (v *Node) recvA(slot int64, m *MsgA) {
 	if diff < 0 {
 		diff = -diff
 	}
-	if diff <= v.par.CriticalRange(v.class) { // line 29
+	if diff <= v.k.crit[min(v.class, 1)] { // line 29
 		v.counter = v.chi(slot)
 		v.resets++
 	}
@@ -349,7 +373,6 @@ func (v *Node) recvCovered(from radio.NodeID, class int32) {
 		// A_suc = R: associate with the announcing leader.
 		v.leader = from
 		v.phase = PhaseRequest
-		v.comp = nil
 		v.leftA0 = v.nowSlot
 		v.logTransition(PhaseRequest, 0)
 		return
@@ -361,12 +384,15 @@ func (v *Node) recvCovered(from radio.NodeID, class int32) {
 
 // chi computes χ(P_v) (Algorithm 1, line 15): the maximum value ≤ 0
 // outside the critical range of every stored competitor counter. The
-// NoCompetitorList ablation degrades it to the constant 0.
+// result does not depend on the order of P_v: x only moves down, and
+// only past values that some range covers, so it stops at the largest
+// uncovered value. The NoCompetitorList ablation degrades it to the
+// constant 0.
 func (v *Node) chi(slot int64) int64 {
 	if v.abl.NoCompetitorList {
 		return 0
 	}
-	r := v.par.CriticalRange(v.class)
+	r := v.k.crit[min(v.class, 1)]
 	x := int64(0)
 	for {
 		blocked := false

@@ -56,25 +56,40 @@ func (p Params) zeta(class int32) float64 {
 	return float64(p.Delta)
 }
 
+// maxSlots bounds every derived slot count; Validate rejects params
+// whose counts leave [1, maxSlots].
+const maxSlots = 1 << 62
+
+// ceilSlots rounds a real slot count up. A value outside [1, maxSlots]
+// — NaN and overflow to ±Inf included — maps to 0, so Validate can
+// reject it without relying on Go's implementation-defined conversion
+// of out-of-range floats.
+func ceilSlots(x float64) int64 {
+	if c := math.Ceil(x); c >= 1 && c <= maxSlots {
+		return int64(c)
+	}
+	return 0
+}
+
 // WaitSlots returns the waiting period ⌈αΔ log n⌉.
 func (p Params) WaitSlots() int64 {
-	return int64(math.Ceil(p.Alpha * float64(p.Delta) * p.logN()))
+	return ceilSlots(p.Alpha * float64(p.Delta) * p.logN())
 }
 
 // Threshold returns the decision threshold ⌈σΔ log n⌉.
 func (p Params) Threshold() int64 {
-	return int64(math.Ceil(p.Sigma * float64(p.Delta) * p.logN()))
+	return ceilSlots(p.Sigma * float64(p.Delta) * p.logN())
 }
 
 // CriticalRange returns ⌈γζ_i log n⌉ for verification class i.
 func (p Params) CriticalRange(class int32) int64 {
-	return int64(math.Ceil(p.Gamma * p.zeta(class) * p.logN()))
+	return ceilSlots(p.Gamma * p.zeta(class) * p.logN())
 }
 
 // ServeSlots returns the leader's per-request response window
 // ⌈β log n⌉.
 func (p Params) ServeSlots() int64 {
-	return int64(math.Ceil(p.Beta * p.logN()))
+	return ceilSlots(p.Beta * p.logN())
 }
 
 // PSend returns the sending probability of competing (A_i), requesting
@@ -88,22 +103,67 @@ func (p Params) PLeader() float64 {
 	return 1 / float64(p.Kappa2)
 }
 
-// Validate reports configuration errors.
-func (p Params) Validate() error {
+// SlotBudget returns the default simulation budget (κ₂+2)·40·⌈σΔ log n⌉
+// slots, a generous multiple of the O(κ₂⁴Δ log n) completion bound. It
+// saturates at math.MaxInt64 rather than overflow.
+func (p Params) SlotBudget() int64 {
+	t, f := p.Threshold(), int64(p.Kappa2+2)*40
+	if t > math.MaxInt64/f {
+		return math.MaxInt64
+	}
+	return t * f
+}
+
+// derived holds the constants a node reads on every tick, computed
+// once by NewNode so that Send and Recv do no floating-point work.
+type derived struct {
+	waitSlots, threshold, serveSlots int64
+	// crit[min(i, 1)] is the critical range of class i: ζ_i takes
+	// only two values, 1 for class 0 and Δ above.
+	crit           [2]int64
+	pSend, pLeader float64
+}
+
+// derive validates p and computes its derived constants.
+func (p Params) derive() (derived, error) {
 	if p.N < 1 {
-		return fmt.Errorf("core: N = %d", p.N)
+		return derived{}, fmt.Errorf("core: N = %d", p.N)
 	}
 	if p.Delta < 2 {
-		return fmt.Errorf("core: Delta = %d (need ≥ 2)", p.Delta)
+		return derived{}, fmt.Errorf("core: Delta = %d (need ≥ 2)", p.Delta)
 	}
 	if p.Kappa1 < 1 || p.Kappa2 < p.Kappa1 {
-		return fmt.Errorf("core: kappa1 = %d, kappa2 = %d", p.Kappa1, p.Kappa2)
+		return derived{}, fmt.Errorf("core: kappa1 = %d, kappa2 = %d", p.Kappa1, p.Kappa2)
 	}
-	if p.Alpha <= 0 || p.Beta <= 0 || p.Gamma <= 0 || p.Sigma <= 0 {
-		return fmt.Errorf("core: non-positive constants α=%g β=%g γ=%g σ=%g",
-			p.Alpha, p.Beta, p.Gamma, p.Sigma)
+	for _, c := range [...]float64{p.Alpha, p.Beta, p.Gamma, p.Sigma} {
+		if !(c > 0) || math.IsInf(c, 1) {
+			return derived{}, fmt.Errorf("core: constants must be positive and finite: α=%g β=%g γ=%g σ=%g",
+				p.Alpha, p.Beta, p.Gamma, p.Sigma)
+		}
 	}
-	return nil
+	d := derived{
+		waitSlots:  p.WaitSlots(),
+		threshold:  p.Threshold(),
+		serveSlots: p.ServeSlots(),
+		crit:       [2]int64{p.CriticalRange(0), p.CriticalRange(1)},
+		pSend:      p.PSend(),
+		pLeader:    p.PLeader(),
+	}
+	for _, s := range [...]int64{d.waitSlots, d.threshold, d.serveSlots, d.crit[0], d.crit[1]} {
+		if s == 0 {
+			return derived{}, fmt.Errorf("core: a derived slot count is outside [1, 2^62] (α=%g β=%g γ=%g σ=%g, Δ=%d, n=%d)",
+				p.Alpha, p.Beta, p.Gamma, p.Sigma, p.Delta, p.N)
+		}
+	}
+	return d, nil
+}
+
+// Validate reports configuration errors: estimates out of range,
+// constants that are not positive and finite, or constants so large
+// that a derived slot count leaves [1, 2^62].
+func (p Params) Validate() error {
+	_, err := p.derive()
+	return err
 }
 
 // Scale returns a copy with α, β, γ, σ multiplied by s — the knob the

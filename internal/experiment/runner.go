@@ -124,11 +124,7 @@ func RunCore(d *topology.Deployment, par core.Params, wake []int64, seed int64, 
 // defaultBudget is the slot budget for a run expected to complete: a
 // generous multiple of the O(κ₂⁴Δ log n)-flavored bound.
 func defaultBudget(par core.Params) int64 {
-	b := int64(par.Kappa2+2) * par.Threshold() * 40
-	if b < 1_000_000 {
-		b = 1_000_000
-	}
-	return b
+	return max(par.SlotBudget(), 1_000_000)
 }
 
 // trialSeed derives a per-trial seed.

@@ -59,6 +59,14 @@ type Protocol interface {
 	// Send is invoked every slot while the node is awake. Returning a
 	// non-nil message transmits it; returning nil listens. Send is the
 	// node's per-slot tick: counter increments and timeouts live here.
+	//
+	// A message returned by Send(t) must stay valid (unchanged) through
+	// slot t+1; from slot t+2 on the protocol may reuse its storage, so
+	// two alternating buffers indexed by t&1 suffice and transmitting
+	// needs no allocation. The half-slot loop (RunUnaligned) needs the
+	// extra slot: it delivers slot t's messages during slot t+1, after
+	// the sender's next Send. In return, no loop, medium or Observer
+	// keeps a message past slot t+1.
 	Send(slot int64) Message
 	// Recv is invoked only in slots the node actually receives a
 	// message, i.e. it listened and exactly one of its neighbors

@@ -589,6 +589,11 @@ func TestSubmitValidationErrors(t *testing.T) {
 	if resp := post(`{"adjacency":[[1],[0]],"wakeup":"never"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad wakeup: %d", resp.StatusCode)
 	}
+	for _, scale := range []string{"1e308", "-2"} {
+		if resp := post(`{"adjacency":[[1],[0]],"param_scale":` + scale + `}`); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("param_scale %s: %d", scale, resp.StatusCode)
+		}
+	}
 	for _, path := range []string{"/v1/jobs/j-999999", "/v1/jobs/j-999999/stream"} {
 		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"radiocolor/internal/core"
 	"radiocolor/internal/obs"
 )
 
@@ -175,8 +176,15 @@ type TraceConfig struct {
 // friends call it before any expensive work (graph parameter
 // measurement, simulation), so a misconfigured run fails immediately.
 func (o Options) Validate() error {
-	if o.ParamScale < 0 {
-		return fmt.Errorf("radiocolor: negative ParamScale %g", o.ParamScale)
+	if o.ParamScale != 0 {
+		// Every derived constant and slot count grows with n, Δ and κ,
+		// so a scale that fails on the smallest network (NaN, ±Inf,
+		// negative, or so large that a slot count leaves [1, 2^62])
+		// fails on every graph. Scales that fail only on a larger graph
+		// are caught once it has been measured.
+		if err := core.Practical(1, 2, 1, 2).Scale(o.ParamScale).Validate(); err != nil {
+			return fmt.Errorf("radiocolor: ParamScale %g: %w", o.ParamScale, err)
+		}
 	}
 	if o.MaxSlots < 0 {
 		return fmt.Errorf("radiocolor: negative MaxSlots %d", o.MaxSlots)

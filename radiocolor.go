@@ -214,6 +214,11 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 		k1, k2 = k.K1, k.K2
 	}
 	par := core.Practical(g.N(), delta, k1, k2).Scale(opt.ParamScale)
+	if err := par.Validate(); err != nil {
+		// A ParamScale that passed Validate can still push a slot count
+		// past 2^62 once this graph's n and Δ enter.
+		return nil, fmt.Errorf("radiocolor: protocol parameters (ParamScale %g): %w", opt.ParamScale, err)
+	}
 
 	var wake []int64
 	for _, p := range radio.WakePatterns {
@@ -226,10 +231,7 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 	}
 	budget := opt.MaxSlots
 	if budget <= 0 {
-		budget = int64(par.Kappa2+2) * par.Threshold() * 40
-		if budget < 1_000_000 {
-			budget = 1_000_000
-		}
+		budget = max(par.SlotBudget(), 1_000_000)
 	}
 
 	// The tiled kernel (Options.Tiling) partitions node ids into
