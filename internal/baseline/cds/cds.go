@@ -20,15 +20,15 @@ package cds
 
 import (
 	"fmt"
-	"math/rand"
 
 	"radiocolor/internal/graph"
 	"radiocolor/internal/msgpass"
+	"radiocolor/internal/rng"
 )
 
 // Node is one color-fixing participant. It implements msgpass.Protocol.
 type Node struct {
-	rng   *rand.Rand
+	rng   rng.Rand
 	delta int
 	color int32
 	quiet bool // no conflict observed in the last completed round
@@ -38,11 +38,11 @@ type Node struct {
 
 // New creates a node holding the (possibly conflicting) initial color,
 // with palette {0..delta}.
-func New(delta int, initial int32, rng *rand.Rand) *Node {
+func New(delta int, initial int32, r rng.Rand) *Node {
 	if initial < 0 || int(initial) > delta {
 		panic(fmt.Sprintf("cds: initial color %d outside palette {0..%d}", initial, delta))
 	}
-	return &Node{rng: rng, delta: delta, color: initial, taken: make([]bool, delta+1)}
+	return &Node{rng: r, delta: delta, color: initial, taken: make([]bool, delta+1)}
 }
 
 // Color returns the node's current color; final once Done().
@@ -111,7 +111,7 @@ func Nodes(delta int, initial []int32, seed int64) ([]*Node, []msgpass.Protocol)
 	nodes := make([]*Node, len(initial))
 	protos := make([]msgpass.Protocol, len(initial))
 	for i := range nodes {
-		nodes[i] = New(delta, initial[i], rand.New(rand.NewSource(seed^(int64(i+1)*0x9E3779B9))))
+		nodes[i] = New(delta, initial[i], rng.Derive(seed, uint32(i)))
 		protos[i] = nodes[i]
 	}
 	return nodes, protos

@@ -6,6 +6,7 @@ import (
 
 	"radiocolor/internal/graph"
 	"radiocolor/internal/msgpass"
+	"radiocolor/internal/rng"
 	"radiocolor/internal/verify"
 )
 
@@ -104,8 +105,8 @@ func TestFixLocalizedPerturbationIsCheap(t *testing.T) {
 func TestDoneIsStable(t *testing.T) {
 	// Drive a conflicted pair by hand: once a node reports Done it must
 	// never move again, even while its neighbor keeps repairing.
-	n0 := New(2, 0, rand.New(rand.NewSource(1)))
-	n1 := New(2, 1, rand.New(rand.NewSource(2)))
+	n0 := New(2, 0, rng.Derive(1, 0))
+	n1 := New(2, 1, rng.Derive(2, 0))
 	protos := []msgpass.Protocol{n0, n1}
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1)

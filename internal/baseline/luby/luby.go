@@ -13,10 +13,10 @@
 package luby
 
 import (
-	"math/rand"
 	"sort"
 
 	"radiocolor/internal/msgpass"
+	"radiocolor/internal/rng"
 )
 
 // payload is a node's broadcast: its tentative or final color.
@@ -28,7 +28,7 @@ type payload struct {
 // Node is one (Δ+1)-coloring participant. It implements
 // msgpass.Protocol.
 type Node struct {
-	rng     *rand.Rand
+	rng     rng.Rand
 	palette []int32 // sorted remaining colors
 	cand    int32
 	color   int32
@@ -36,12 +36,12 @@ type Node struct {
 
 // New creates a node with palette {0..delta} (with Δ the paper-convention
 // maximum degree, Δ+1 colors always suffice) and its own random stream.
-func New(delta int, rng *rand.Rand) *Node {
+func New(delta int, r rng.Rand) *Node {
 	p := make([]int32, delta+1)
 	for c := range p {
 		p[c] = int32(c)
 	}
-	return &Node{rng: rng, palette: p, cand: -1, color: -1}
+	return &Node{rng: r, palette: p, cand: -1, color: -1}
 }
 
 // Color returns the decided color, or −1.
@@ -99,7 +99,7 @@ func Nodes(n, delta int, seed int64) ([]*Node, []msgpass.Protocol) {
 	nodes := make([]*Node, n)
 	protos := make([]msgpass.Protocol, n)
 	for i := range nodes {
-		nodes[i] = New(delta, rand.New(rand.NewSource(seed^(int64(i+1)*0x9E3779B9))))
+		nodes[i] = New(delta, rng.Derive(seed, uint32(i)))
 		protos[i] = nodes[i]
 	}
 	return nodes, protos

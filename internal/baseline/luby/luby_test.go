@@ -1,11 +1,11 @@
 package luby
 
 import (
-	"math/rand"
 	"testing"
 
 	"radiocolor/internal/graph"
 	"radiocolor/internal/msgpass"
+	"radiocolor/internal/rng"
 	"radiocolor/internal/topology"
 	"radiocolor/internal/verify"
 )
@@ -112,7 +112,7 @@ func TestLubyIsolatedVertex(t *testing.T) {
 func TestNodePaletteExhaustionGuard(t *testing.T) {
 	// Force the degenerate guard: empty palette returns nil and the node
 	// never terminates (rather than panicking).
-	v := New(0, rand.New(rand.NewSource(1)))
+	v := New(0, rng.Derive(1, 0))
 	v.palette = nil
 	if out := v.Round(0, nil); out != nil {
 		t.Error("empty palette should broadcast nothing")
@@ -123,7 +123,7 @@ func TestNodePaletteExhaustionGuard(t *testing.T) {
 }
 
 func TestRemoveFromPalette(t *testing.T) {
-	v := New(4, rand.New(rand.NewSource(1)))
+	v := New(4, rng.Derive(1, 0))
 	v.removeFromPalette(2)
 	v.removeFromPalette(2) // idempotent
 	v.removeFromPalette(99)

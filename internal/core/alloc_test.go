@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"radiocolor/internal/core"
@@ -49,5 +50,30 @@ func TestSteadyStateStepZeroAlloc(t *testing.T) {
 		if tx == 0 || colored == 0 || colored == len(nodes) {
 			t.Fatalf("tiles=%d: window not in steady state: %d transmissions, %d/%d colored", tiles, tx, colored, len(nodes))
 		}
+	}
+}
+
+// TestNodesUnderOneKilobyte pins the per-node footprint of a fresh
+// protocol instance: one Node allocation per vertex, with the random
+// stream held inline, adds up to well under 1 KB a node (a math/rand
+// source alone was 5.4 KB). The bytes are the heap growth of one
+// Nodes call, read from runtime.MemStats.
+func TestNodesUnderOneKilobyte(t *testing.T) {
+	const n = 1000
+	par := core.Practical(n, 12, 5, 12)
+	if allocs := testing.AllocsPerRun(5, func() { core.Nodes(n, 1, par, core.Ablation{}) }); allocs > n+2 {
+		t.Errorf("Nodes(%d) makes %v allocations, want at most one per node plus two slices", n, allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	nodes, protos := core.Nodes(n, 1, par, core.Ablation{})
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(nodes)
+	runtime.KeepAlive(protos)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1024 {
+		t.Errorf("Nodes(%d) allocates %d bytes per node, want under 1024", n, per)
+	} else {
+		t.Logf("%d bytes per node", per)
 	}
 }

@@ -81,22 +81,26 @@ func put[M any](buf *[2]M, slot int64, m M) *M {
 // the network graph; its only inputs are received messages and its own
 // random stream.
 type Node struct {
-	id  radio.NodeID
-	rng radio.Rand
-	par Params
-	k   derived // constants derived from par once, read every tick
-	abl Ablation
-	out outbox
-
+	// The per-slot tick reads the fields up to and including k, the
+	// struct's first 112 bytes; the random stream is held inline among
+	// them.
+	id     radio.NodeID
 	phase  Phase
 	class  int32 // verification class i while in A_i, color class in C_i
 	tc     int32 // assigned intra-cluster color, -1 before assignment
 	leader radio.NodeID
 	color  int32 // final color, -1 until decided
+	rng    radio.Rand
 
 	waitLeft int64
 	counter  int64
-	comp     []competitor // P_v, one entry per competitor id
+	nowSlot  int64
+	k        derived // constants derived from par once, read every tick
+
+	par  Params
+	abl  Ablation
+	out  outbox
+	comp []competitor // P_v, one entry per competitor id
 
 	// Leader request service (class 0 only; Algorithm 3, lines 6–23).
 	// queue holds each pending requester once; queue[0] is being served.
@@ -114,7 +118,6 @@ type Node struct {
 	// Optional transition history and phase hook (see history.go).
 	recordHistory bool
 	history       []Transition
-	nowSlot       int64
 	phaseHook     func(slot int64, node int32, from, to Phase, class int32)
 	prevPhase     Phase // last phase reported; zero value is PhaseAsleep
 

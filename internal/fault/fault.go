@@ -18,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"radiocolor/internal/rng"
 )
 
 // Profile declares a composable set of channel and node faults. The
@@ -331,19 +333,11 @@ const (
 	streamSkew  = 0xaef17502108ef2d9
 )
 
-// splitmix64 is the same finalizer the reception media use for their
-// stateless coins (internal/medium); reusing it keeps the fault layer's
-// determinism argument identical to theirs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// coin maps a hashed key to [0,1).
+// coin maps a hashed key to [0,1) through rng.Mix, the same mixer the
+// reception media use for their stateless coins (internal/medium), so
+// the fault layer's determinism argument is identical to theirs.
 func coin(key uint64) float64 {
-	return float64(splitmix64(key)>>11) / (1 << 53)
+	return float64(rng.Mix(key)>>11) / (1 << 53)
 }
 
 // Lost reports whether the fault layer drops an otherwise successful

@@ -59,7 +59,7 @@ func (b *Builder) AddEdge(u, v int) {
 // Build finalizes the graph. The builder may be reused afterwards, but
 // the built graph is independent of it.
 //
-/// The result is laid out in CSR form in a single pass: edges are sorted
+// The result is laid out in CSR form in a single pass: edges are sorted
 // by (min endpoint, max endpoint) and deduplicated, degrees prefix-summed
 // into offsets, and each row filled by one scan over the unique edges.
 // Because the scan visits min endpoints in ascending order, row v first

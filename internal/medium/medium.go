@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"radiocolor/internal/geom"
+	"radiocolor/internal/rng"
 )
 
 // Env is the world a medium is bound against. The engine fills it from
@@ -198,6 +199,6 @@ func (g *graphInstance) captured(slot int64, u int32) bool {
 	if g.capture <= 0 {
 		return false
 	}
-	h := splitmix64(splitmix64(uint64(g.seed)^uint64(slot)*0x9E3779B9) ^ uint64(u) ^ 0xCA97)
+	h := rng.Mix(rng.Mix(uint64(g.seed)^uint64(slot)*0x9E3779B9) ^ uint64(u) ^ 0xCA97)
 	return float64(h>>11)/float64(1<<53) < g.capture
 }

@@ -24,7 +24,11 @@
 
 package medium
 
-import "fmt"
+import (
+	"fmt"
+
+	"radiocolor/internal/rng"
+)
 
 // MultiChannel divides the spectrum into K channels with per-slot
 // uniform random hopping. K == 1 degenerates to GraphThreshold.
@@ -85,15 +89,6 @@ func (m *multiChannelInstance) Name() string { return "multichannel" }
 // N implements Instance.
 func (m *multiChannelInstance) N() int { return len(m.chanOf) }
 
-// splitmix64 advances a SplitMix64 state; shared by the hop schedule
-// and the graph medium's capture coin.
-func splitmix64(z uint64) uint64 {
-	z += 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // channel returns node i's channel in slot t: a pure function of
 // (seed, slot, node), so the schedule is reproducible and independent
 // of execution order. The formula is kept verbatim from the retired
@@ -102,7 +97,7 @@ func (m *multiChannelInstance) channel(t int64, i int32) int32 {
 	if m.stamp[i] == t+1 {
 		return m.chanOf[i]
 	}
-	h := splitmix64(splitmix64(uint64(m.seed)^uint64(t)) ^ (uint64(i) * 0x9E3779B97F4A7C15))
+	h := rng.Mix(rng.Mix(uint64(m.seed)^uint64(t)) ^ (uint64(i) * rng.Gamma))
 	c := int32(h % uint64(m.k))
 	m.chanOf[i] = c
 	m.stamp[i] = t + 1

@@ -24,17 +24,19 @@ func mcConfig(t *testing.T, workers int) radio.Config {
 	}
 }
 
-// TestMultiChannelGolden pins RunMultiChannel's observable outcome to
-// the values produced by the bespoke multi-channel engine this path
-// replaced (the medium.MultiChannel port must reproduce the old engine
-// bit for bit — same hop schedule, same collision rule).
+// TestMultiChannelGolden pins RunMultiChannel's observable outcome. The
+// medium.MultiChannel port reproduced the bespoke multi-channel engine
+// it replaced bit for bit (same hop schedule, same collision rule); the
+// values were re-recorded once, when the protocol's per-node streams
+// became SplitMix64 (internal/rng), which left the hop schedule as is.
 func TestMultiChannelGolden(t *testing.T) {
 	golden := map[int]struct {
 		tx, rx, coll, decSum int64
+		maxBits              int
 	}{
-		2: {tx: 15026, rx: 73535, coll: 8492, decSum: 226840},
-		4: {tx: 15886, rx: 41472, coll: 2549, decSum: 143052},
-		8: {tx: 16856, rx: 22410, coll: 685, decSum: 82004},
+		2: {tx: 17160, rx: 76313, coll: 9389, decSum: 197996, maxBits: 42},
+		4: {tx: 16939, rx: 44234, coll: 2991, decSum: 140566, maxBits: 42},
+		8: {tx: 16571, rx: 22778, coll: 731, decSum: 71629, maxBits: 43},
 	}
 	for k, want := range golden {
 		res, err := radio.RunMultiChannel(mcConfig(t, 0), k, 21)
@@ -45,7 +47,7 @@ func TestMultiChannelGolden(t *testing.T) {
 		for _, s := range res.DecideSlot {
 			decSum += s
 		}
-		if res.Slots != 6000 || res.MaxMessageBits != 43 || res.AllDone {
+		if res.Slots != 6000 || res.MaxMessageBits != want.maxBits || res.AllDone {
 			t.Errorf("k=%d: run shape changed: slots=%d maxbits=%d alldone=%v",
 				k, res.Slots, res.MaxMessageBits, res.AllDone)
 		}

@@ -1,7 +1,6 @@
 package radio_test
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -37,7 +36,7 @@ var poisoned = stampMsg{from: -1, stamp: -1, val: 0xdeadbeef}
 
 type outboxProto struct {
 	id     radio.NodeID
-	rng    *rand.Rand
+	rng    radio.Rand
 	poison bool
 	buf    [2]stampMsg
 

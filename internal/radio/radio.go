@@ -18,8 +18,9 @@ package radio
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
+
+	"radiocolor/internal/rng"
 )
 
 // simulatedSlots counts every slot simulated by any engine variant in
@@ -126,19 +127,19 @@ func (NopObserver) OnCollision(int64, NodeID, int) {}
 // OnDecide implements Observer.
 func (NopObserver) OnDecide(int64, NodeID) {}
 
-// Rand is the source of per-node randomness. Each node receives its own
-// deterministic stream derived from (master seed, node id), so results
-// are identical across engine implementations and scheduling orders.
-type Rand = *rand.Rand
+// Rand is the source of per-node randomness: a SplitMix64 generator
+// (internal/rng) whose whole state is one 8-byte word. Protocols hold it
+// by value in their node struct, so a coin flip touches only the node's
+// own memory. Each node receives its own deterministic stream derived
+// from (master seed, node id), so results are identical across engine
+// implementations and scheduling orders.
+type Rand = rng.Rand
 
-// NodeRand derives node i's random stream from the master seed. The
-// SplitMix64-style mixing decorrelates streams of adjacent ids.
+// NodeRand derives node i's random stream from the master seed: the
+// generator starts from the SplitMix64-finalized seed + γ·(id+1), which
+// decorrelates streams of adjacent ids (see rng.Derive).
 func NodeRand(masterSeed int64, id NodeID) Rand {
-	z := uint64(masterSeed) + 0x9E3779B97F4A7C15*uint64(uint32(id)+1)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
+	return rng.Derive(masterSeed, uint32(id))
 }
 
 // Result summarizes a simulation run.

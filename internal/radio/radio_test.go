@@ -344,29 +344,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestNodeRandStreamsDiffer(t *testing.T) {
-	a := NodeRand(1, 0)
-	b := NodeRand(1, 1)
-	same := true
-	for i := 0; i < 10; i++ {
-		if a.Int63() != b.Int63() {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("adjacent node streams identical")
-	}
-	// Same (seed, id) must reproduce.
-	c := NodeRand(1, 0)
-	d := NodeRand(1, 0)
-	for i := 0; i < 10; i++ {
-		if c.Int63() != d.Int63() {
-			t.Fatal("NodeRand not reproducible")
-		}
-	}
-}
-
 // countingObserver checks the Observer event stream.
 type countingObserver struct {
 	NopObserver

@@ -55,7 +55,8 @@ func RunUnalignedContext(ctx context.Context, cfg Config, offsets []int8) (*Resu
 	if offsets == nil {
 		offsets = make([]int8, n)
 		for i := range offsets {
-			offsets[i] = int8(NodeRand(0x0FF5E7, NodeID(i)).Intn(2))
+			r := NodeRand(0x0FF5E7, NodeID(i))
+			offsets[i] = int8(r.Intn(2))
 		}
 	}
 	if len(offsets) != n {

@@ -65,10 +65,10 @@ func TestLRUDisabled(t *testing.T) {
 
 func TestHistogramCumulative(t *testing.T) {
 	h := newHistogram([]float64{0.01, 0.1, 1})
-	h.Observe(5 * time.Millisecond)   // ≤ 0.01
-	h.Observe(50 * time.Millisecond)  // ≤ 0.1
-	h.Observe(60 * time.Millisecond)  // ≤ 0.1
-	h.Observe(2 * time.Second)        // +Inf
+	h.Observe(5 * time.Millisecond)  // ≤ 0.01
+	h.Observe(50 * time.Millisecond) // ≤ 0.1
+	h.Observe(60 * time.Millisecond) // ≤ 0.1
+	h.Observe(2 * time.Second)       // +Inf
 	cum, sum, count := h.snapshot()
 	want := []int64{1, 3, 3, 4}
 	for i, w := range want {

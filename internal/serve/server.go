@@ -183,8 +183,6 @@ type job struct {
 	attempts   int
 	canceled   bool // cancellation requested while running
 	cancel     context.CancelFunc
-	outcome    *radiocolor.Outcome
-	errMsg     string
 	doneClosed bool
 }
 
@@ -583,8 +581,6 @@ func (s *Server) commit(j *job, rec *store.Job, state store.State, outcome *radi
 	j.mu.Lock()
 	j.state = JobState(state)
 	j.finished = s.now()
-	j.outcome = outcome
-	j.errMsg = errMsg
 	j.cancel = nil
 	j.closeDone()
 	j.mu.Unlock()
@@ -909,7 +905,9 @@ var errDraining = errors.New("serve: draining")
 // errBacklogFull is the admission rejection (HTTP 429).
 type errBacklogFull struct{ queued int }
 
-func (e errBacklogFull) Error() string { return fmt.Sprintf("serve: backlog full (%d queued)", e.queued) }
+func (e errBacklogFull) Error() string {
+	return fmt.Sprintf("serve: backlog full (%d queued)", e.queued)
+}
 
 // admit persists one job record, enforcing the queued-backlog bound
 // atomically: the count check and the create are serialized so a burst

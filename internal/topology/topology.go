@@ -48,7 +48,10 @@ func buildGeometric(points []geom.Point, m geom.Metric, radius float64, obs *geo
 		}
 	}
 	if _, euclid := m.(geom.Euclidean); euclid && len(points) > 64 {
-		grid := geom.NewGrid(points, radius)
+		// Cells a hair wider than the radius: rounding in a cell index
+		// (x / size, floored) can then never put two points the
+		// predicate connects two cells apart.
+		grid := geom.NewGrid(points, radius*(1+1e-9))
 		grid.CandidatePairs(connect)
 	} else {
 		for i := range points {
@@ -58,6 +61,14 @@ func buildGeometric(points []geom.Point, m geom.Metric, radius float64, obs *geo
 		}
 	}
 	return b.Build()
+}
+
+// UnitDisk builds the unit disk graph over points: an edge wherever the
+// Euclidean distance is ≤ radius. Above 64 points a spatial grid makes
+// the build near-linear; the edge set is the all-pairs scan's. Every
+// coordinate must be finite and radius positive.
+func UnitDisk(points []geom.Point, radius float64) *graph.Graph {
+	return buildGeometric(points, geom.Euclidean{}, radius, nil)
 }
 
 // UDGConfig parameterizes random unit disk graph generation.

@@ -1,7 +1,10 @@
 package topology
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"radiocolor/internal/geom"
@@ -241,5 +244,71 @@ func TestDeploymentNames(t *testing.T) {
 			t.Errorf("duplicate name %q", d.Name)
 		}
 		names[d.Name] = true
+	}
+}
+
+// allPairsUnitDisk is the O(n²) reference for UnitDisk: every pair at
+// Euclidean distance ≤ radius.
+func allPairsUnitDisk(pts []geom.Point, radius float64) *graph.Graph {
+	b := graph.NewBuilder(len(pts))
+	for i := range pts {
+		for j := i + 1; j < len(pts); j++ {
+			if pts[i].Dist(pts[j]) <= radius {
+				b.AddEdge(i, j)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// TestUnitDiskGridMatchesAllPairs checks the grid build against the
+// all-pairs scan edge for edge. graph.Build sorts each row, so equal
+// edge sets give equal CSRs. The inputs stress the grid's cell borders:
+// random points, duplicates, and lattices whose neighbors sit exactly
+// one radius apart on cell boundaries.
+func TestUnitDiskGridMatchesAllPairs(t *testing.T) {
+	type input struct {
+		name   string
+		pts    []geom.Point
+		radius float64
+	}
+	var inputs []input
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{65, 300, 1000} {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{X: r.Float64()*20 - 10, Y: r.Float64()*20 - 10}
+		}
+		inputs = append(inputs, input{fmt.Sprintf("random-%d", n), pts, 1.3})
+	}
+	dup := make([]geom.Point, 200)
+	for i := range dup {
+		dup[i] = geom.Point{X: float64(i % 7), Y: float64(i % 3)}
+	}
+	inputs = append(inputs, input{"duplicates", dup, 1})
+	for _, radius := range []float64{1, 0.1, 0.3, 1.7, 1e-3} {
+		var lat []geom.Point
+		for i := -6; i < 6; i++ {
+			for j := -6; j < 6; j++ {
+				lat = append(lat, geom.Point{X: float64(i) * radius, Y: float64(j) * radius})
+			}
+		}
+		inputs = append(inputs, input{fmt.Sprintf("lattice-r%g", radius), lat, radius})
+	}
+	for _, in := range inputs {
+		got, want := UnitDisk(in.pts, in.radius), allPairsUnitDisk(in.pts, in.radius)
+		if got.M() == 0 {
+			t.Fatalf("%s: no edges; the comparison is vacuous", in.name)
+		}
+		if got.M() != want.M() {
+			t.Errorf("%s: grid build has %d edges, all pairs %d", in.name, got.M(), want.M())
+			continue
+		}
+		for v := 0; v < got.N(); v++ {
+			if !reflect.DeepEqual(got.Adj(v), want.Adj(v)) {
+				t.Errorf("%s: node %d: grid row %v, all-pairs row %v", in.name, v, got.Adj(v), want.Adj(v))
+				break
+			}
+		}
 	}
 }

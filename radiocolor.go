@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 
 	"radiocolor/internal/churn"
@@ -37,6 +38,7 @@ import (
 	"radiocolor/internal/obs"
 	"radiocolor/internal/radio"
 	"radiocolor/internal/sched"
+	"radiocolor/internal/topology"
 	"radiocolor/internal/verify"
 )
 
@@ -171,22 +173,29 @@ func ColorUnitDisk(points [][2]float64, radius float64, opt Options) (*Outcome, 
 // ColorUnitDiskContext is ColorUnitDisk with cancellation, analogous to
 // ColorGraphContext.
 func ColorUnitDiskContext(ctx context.Context, points [][2]float64, radius float64, opt Options) (*Outcome, error) {
-	if radius <= 0 {
+	if !(radius > 0) {
 		return nil, errors.New("radiocolor: non-positive radius")
 	}
 	pts := make([]geom.Point, len(points))
 	for i, p := range points {
+		if math.IsNaN(p[0]) || math.IsNaN(p[1]) || math.IsInf(p[0], 0) || math.IsInf(p[1], 0) {
+			return nil, &PointError{Index: i, Point: p}
+		}
 		pts[i] = geom.Point{X: p[0], Y: p[1]}
 	}
-	b := graph.NewBuilder(len(pts))
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			if pts[i].Dist(pts[j]) <= radius {
-				b.AddEdge(i, j)
-			}
-		}
-	}
-	return colorGraph(ctx, b.Build(), pts, radius, opt)
+	return colorGraph(ctx, topology.UnitDisk(pts, radius), pts, radius, opt)
+}
+
+// PointError reports a point ColorUnitDisk cannot place: a coordinate
+// that is NaN or infinite.
+type PointError struct {
+	Index int
+	Point [2]float64
+}
+
+// Error implements error.
+func (e *PointError) Error() string {
+	return fmt.Sprintf("radiocolor: point %d (%g, %g) has a non-finite coordinate", e.Index, e.Point[0], e.Point[1])
 }
 
 // colorGraph runs the protocol on the built graph. pts carries the

@@ -3,6 +3,8 @@ package radiocolor
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -69,8 +71,26 @@ func TestColorUnitDisk(t *testing.T) {
 }
 
 func TestColorUnitDiskValidation(t *testing.T) {
-	if _, err := ColorUnitDisk([][2]float64{{0, 0}}, 0, Options{}); err == nil {
-		t.Error("non-positive radius accepted")
+	for _, r := range []float64{0, -1, math.NaN()} {
+		if _, err := ColorUnitDisk([][2]float64{{0, 0}}, r, Options{}); err == nil {
+			t.Errorf("radius %v accepted", r)
+		}
+	}
+	// A non-finite coordinate is rejected before any graph is built, at
+	// either size of build (all pairs up to 64 points, a grid above).
+	for _, n := range []int{3, 100} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			pts := make([][2]float64, n)
+			for i := range pts {
+				pts[i] = [2]float64{float64(i % 10), float64(i / 10)}
+			}
+			pts[n-2][1] = bad
+			_, err := ColorUnitDisk(pts, 1, Options{})
+			var pe *PointError
+			if !errors.As(err, &pe) || pe.Index != n-2 {
+				t.Errorf("n=%d, y=%v: err = %v, want a *PointError for point %d", n, bad, err, n-2)
+			}
+		}
 	}
 }
 
