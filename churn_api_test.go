@@ -148,6 +148,17 @@ func TestChurnOptionRejections(t *testing.T) {
 		!strings.Contains(err.Error(), "disjoint") {
 		t.Errorf("overlapping fault and churn subjects: %v", err)
 	}
+	// ... and the error names the caller's node on a tiled run too
+	// (BFS order stores ring node 5 in engine slot 6).
+	fc5, err := ParseFaults("crash=5@20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	churned5 := &ChurnConfig{Leaves: []ChurnEvent{{Node: 5, At: 10}}}
+	if _, err := ColorGraph(ringAdj(8), Options{Churn: churned5, Faults: fc5, Tiling: 4}); err == nil ||
+		!strings.Contains(err.Error(), "node 5 is both") {
+		t.Errorf("tiled overlapping subjects: %v", err)
+	}
 }
 
 func TestParseChurnRoundTrip(t *testing.T) {

@@ -9,7 +9,7 @@
 //	GET    /v1/jobs/{id}           poll
 //	GET    /v1/jobs/{id}/stream    NDJSON (or SSE with Accept: text/event-stream)
 //	DELETE /v1/jobs/{id}           cancel
-//	POST   /v1/sweeps              submit a parameter grid (n × seed × wakeup × faults × medium × tiling)
+//	POST   /v1/sweeps              submit a parameter grid (n × seed × wakeup × faults × medium)
 //	GET    /v1/sweeps/{id}         poll a sweep (aggregate once terminal)
 //	GET    /v1/sweeps/{id}/stream  per-cell progress + final aggregate
 //	DELETE /v1/sweeps/{id}         cancel a sweep and its cells

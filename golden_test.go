@@ -56,9 +56,11 @@ func fingerprint(o *Outcome) uint64 {
 // runs with Metrics and, unless -short, again without — the two take
 // different engine paths — and both runs must agree on every outcome
 // field. The fingerprints were recorded when the per-node streams became
-// SplitMix64 (internal/rng); a change to any of them means a run's
-// random execution changed, which a pure performance change must never
-// do.
+// SplitMix64 (internal/rng), the tiled one when nodes kept their caller
+// labels under relabeling; a change to any of them means a run's random
+// execution changed, which a pure performance change must never do.
+// Tiling is a speed-only choice, so a tiled case must also fingerprint
+// exactly like the same options with Tiling 0.
 func TestProtocolGolden(t *testing.T) {
 	pts := goldenPoints(400, 41)
 	crashy := &FaultConfig{
@@ -75,7 +77,7 @@ func TestProtocolGolden(t *testing.T) {
 		{"uniform", Options{Seed: 3, Wakeup: WakeupUniform}, 0xefae6ef104d7de6c},
 		{"uniform-loss-skew-crash", Options{Seed: 4, Wakeup: WakeupUniform, Faults: crashy}, 0xe478e90817a4683a},
 		{"workers4", Options{Seed: 5, Wakeup: WakeupUniform, Workers: 4}, 0x49133cc222d6b6aa},
-		{"tiled4-workers4", Options{Seed: 6, Wakeup: WakeupUniform, Tiling: 4, Workers: 4}, 0xf9fe5fca08dd27b7},
+		{"tiled4-workers4", Options{Seed: 6, Wakeup: WakeupUniform, Tiling: 4, Workers: 4}, 0x4f558590bb5034ab},
 		{"medium-multichannel", Options{Seed: 7, Medium: &MediumConfig{Kind: "multichannel", Channels: 2}}, 0xed725bfca7ebbbe7},
 		{"churn", Options{Seed: 8, Churn: &ChurnConfig{
 			Leaves: []ChurnEvent{{Node: 10, At: 500}, {Node: 11, At: 700}},
@@ -105,6 +107,17 @@ func TestProtocolGolden(t *testing.T) {
 			}
 			if got := fingerprint(metered); got != c.want {
 				t.Errorf("fingerprint = %#x, want %#x (slots=%d ok=%v)", got, c.want, metered.Slots, metered.OK())
+			}
+			if c.opt.Tiling != 0 {
+				untiled := withStats
+				untiled.Tiling = 0
+				ref, err := ColorUnitDisk(pts, 1, untiled)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := fingerprint(metered), fingerprint(ref); got != want {
+					t.Errorf("tiled fingerprint %#x differs from the Tiling 0 run's %#x", got, want)
+				}
 			}
 		})
 	}

@@ -22,6 +22,7 @@ package churn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -35,8 +36,8 @@ const (
 	// endpoint of each conflicting edge retracts its decision (protocol
 	// Reset + Start, exactly the fault layer's restart path) and
 	// re-contends for a color. The victim is chosen deterministically —
-	// the later decider, ties to the higher id — so repair is
-	// bit-identical at any worker count.
+	// the later decider, ties to the higher id as compiled — so repair
+	// is bit-identical at any worker or tile count.
 	RepairRetract RepairMode = iota
 	// RepairNone applies topology deltas without touching decisions;
 	// conflicts persist until something else (e.g. the decentralized
@@ -116,30 +117,15 @@ func (s *Schedule) Active() bool {
 	return s != nil && (len(s.Joins) > 0 || len(s.Leaves) > 0 || len(s.Waypoints) > 0)
 }
 
-// Nodes returns the sorted, de-duplicated set of nodes the schedule
-// references. Used to check disjointness against fault crash victims
-// (a node cannot be both fail-stopped and churned; the two lifecycles
-// would race for its presence).
-func (s *Schedule) Nodes() []int {
-	if s == nil {
-		return nil
-	}
+// Subjects returns the set of nodes whose presence the schedule
+// changes (joins and leaves). A fault crash victim must not be one: the
+// two lifecycles would race for its presence.
+func (s *Schedule) Subjects() map[int]bool {
 	set := map[int]bool{}
-	for _, e := range s.Joins {
+	for _, e := range slices.Concat(s.Joins, s.Leaves) {
 		set[e.Node] = true
 	}
-	for _, e := range s.Leaves {
-		set[e.Node] = true
-	}
-	for _, w := range s.Waypoints {
-		set[w.Node] = true
-	}
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	return set
 }
 
 // Validate checks the schedule against n nodes (n <= 0 skips
@@ -219,44 +205,6 @@ func (s *Schedule) Validate(n int) error {
 		}
 	}
 	return nil
-}
-
-// Permute returns a copy of the schedule with every node reference
-// mapped through forward (a relabeling's old→new map), mirroring
-// fault.Profile.Permute: the tiled kernel's relabeling pass uses it so
-// an event aimed at a caller-visible node keeps hitting the same
-// physical node after renumbering. Slots, coordinates, cadence and
-// repair mode are unchanged.
-func (s *Schedule) Permute(forward []int32) *Schedule {
-	if s == nil {
-		return nil
-	}
-	out := *s
-	mapEvents := func(evs []Event) []Event {
-		if len(evs) == 0 {
-			return nil
-		}
-		m := make([]Event, len(evs))
-		for i, e := range evs {
-			if e.Node >= 0 && e.Node < len(forward) {
-				e.Node = int(forward[e.Node])
-			}
-			m[i] = e
-		}
-		return m
-	}
-	out.Joins = mapEvents(s.Joins)
-	out.Leaves = mapEvents(s.Leaves)
-	if len(s.Waypoints) > 0 {
-		out.Waypoints = make([]Waypoint, len(s.Waypoints))
-		for i, w := range s.Waypoints {
-			if w.Node >= 0 && w.Node < len(forward) {
-				w.Node = int(forward[w.Node])
-			}
-			out.Waypoints[i] = w
-		}
-	}
-	return &out
 }
 
 func isFinite(f float64) bool {

@@ -175,18 +175,76 @@ func TestCompileInactive(t *testing.T) {
 
 func TestPermuteMovesNodes(t *testing.T) {
 	s := &Schedule{
-		Joins:     []Event{{Node: 0, At: 5}},
-		Leaves:    []Event{{Node: 1, At: 2}},
-		Waypoints: []Waypoint{{Node: 2, At: 9, X: 1, Y: 2}},
+		Joins:  []Event{{Node: 0, At: 5}, {Node: 3, At: 9}},
+		Leaves: []Event{{Node: 1, At: 2}, {Node: 3, At: 4}},
 	}
-	forward := []int32{2, 0, 1}
-	m := s.Permute(forward)
-	if m.Joins[0].Node != 2 || m.Leaves[0].Node != 0 || m.Waypoints[0].Node != 1 {
-		t.Fatalf("permute wrong: %+v", m)
+	// On K5 every join adds several edges; the reversal below turns
+	// their compiled (ascending) order into a descending one.
+	b := graph.NewBuilder(5)
+	for u := 0; u < 5; u++ {
+		for v := u + 1; v < 5; v++ {
+			b.AddEdge(u, v)
+		}
+	}
+	k5 := b.Build()
+	p, err := s.Compile(Env{G: k5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward := []int32{4, 3, 2, 1, 0}
+	m := p.Permute(forward)
+	mv := func(e [2]int32) [2]int32 { return [2]int32{forward[e[0]], forward[e[1]]} }
+	if !reflect.DeepEqual(m.InitialAbsent, []int32{4}) || len(m.InitialDelta.Dels) != len(p.InitialDelta.Dels) {
+		t.Fatalf("initial absence not moved: %+v", m)
+	}
+	for j, e := range p.InitialDelta.Dels {
+		if m.InitialDelta.Dels[j] != mv(e) {
+			t.Fatalf("initial del %d: %v, want %v", j, m.InitialDelta.Dels[j], mv(e))
+		}
+	}
+	if len(m.Batches) != len(p.Batches) {
+		t.Fatalf("batches: %d, want %d", len(m.Batches), len(p.Batches))
+	}
+	for i, b := range p.Batches {
+		mb := m.Batches[i]
+		if mb.Slot != b.Slot || len(mb.Joins) != len(b.Joins) || len(mb.Leaves) != len(b.Leaves) ||
+			len(mb.Delta.Adds) != len(b.Delta.Adds) || len(mb.Delta.Dels) != len(b.Delta.Dels) {
+			t.Fatalf("batch %d reshaped: %+v vs %+v", i, mb, b)
+		}
+		for j, v := range b.Joins {
+			if mb.Joins[j] != forward[v] {
+				t.Fatalf("batch %d join %d: %d, want %d", i, j, mb.Joins[j], forward[v])
+			}
+		}
+		for j, lv := range b.Leaves {
+			if mb.Leaves[j] != (Leave{Node: forward[lv.Node], Final: lv.Final}) {
+				t.Fatalf("batch %d leave %d: %+v, want node %d", i, j, mb.Leaves[j], forward[lv.Node])
+			}
+		}
+		// Order and orientation carry over: the repair scan and its
+		// tie-break see the caller's edge list.
+		for j, e := range b.Delta.Adds {
+			if mb.Delta.Adds[j] != mv(e) {
+				t.Fatalf("batch %d add %d: %v, want %v", i, j, mb.Delta.Adds[j], mv(e))
+			}
+		}
+		for j, e := range b.Delta.Dels {
+			if mb.Delta.Dels[j] != mv(e) {
+				t.Fatalf("batch %d del %d: %v, want %v", i, j, mb.Delta.Dels[j], mv(e))
+			}
+		}
+	}
+	// The relabeled final graph is the original's, relabeled.
+	perm := graph.Permutation{Forward: forward, Inverse: forward}
+	if got, want := m.FinalGraph(perm.Apply(k5)), perm.Apply(p.FinalGraph(k5)); !reflect.DeepEqual(got.CSR(), want.CSR()) {
+		t.Fatal("permuted plan's final graph is not the relabeled original's")
 	}
 	// Original untouched.
-	if s.Joins[0].Node != 0 {
+	if p.InitialAbsent[0] != 0 || p.Batches[0].Leaves[0].Node != 1 {
 		t.Fatal("permute mutated the original")
+	}
+	if (*Plan)(nil).Permute(forward) != nil {
+		t.Fatal("nil plan must permute to nil")
 	}
 }
 

@@ -39,13 +39,14 @@ type Batch struct {
 	// Slot is when the batch takes effect (at the start of the slot,
 	// before fault events and wake-ups).
 	Slot int64
-	// Joins and Leaves are the presence flips, each sorted by node id.
+	// Joins and Leaves are the presence flips, each sorted by node id
+	// as compiled (Plan.Permute keeps the order).
 	Joins  []int32
 	Leaves []Leave
 	// Delta is the edge change: departures' incident edges removed,
 	// arrivals' edges to present nodes added, and movers' unit-disk
 	// neighborhoods re-derived. Edges are unique and normalized
-	// (min endpoint first).
+	// (min endpoint first, as compiled).
 	Delta graph.Delta
 }
 
@@ -92,6 +93,51 @@ func (p *Plan) FinalGraph(base *graph.Graph) *graph.Graph {
 		dyn.Apply(p.Batches[i].Delta, nil)
 	}
 	return dyn.Graph()
+}
+
+// Permute returns a copy of the plan with every node reference mapped
+// through forward (a relabeling's old→new map). Lists keep their order
+// and edges their orientation, so an engine running the copy applies
+// the original's events in the original's order — including the
+// retract repair's scan over added edges and its tie to the second
+// endpoint — and the relabeling moves nodes without changing the run.
+// The tiled kernel's relabeling pass compiles in the caller's labels
+// and permutes the plan with this.
+func (p *Plan) Permute(forward []int32) *Plan {
+	if p == nil {
+		return nil
+	}
+	ids := func(vs []int32) []int32 {
+		out := make([]int32, len(vs))
+		for i, v := range vs {
+			out[i] = forward[v]
+		}
+		return out
+	}
+	edges := func(es [][2]int32) [][2]int32 {
+		out := make([][2]int32, len(es))
+		for i, e := range es {
+			out[i] = [2]int32{forward[e[0]], forward[e[1]]}
+		}
+		return out
+	}
+	delta := func(d graph.Delta) graph.Delta {
+		return graph.Delta{Adds: edges(d.Adds), Dels: edges(d.Dels)}
+	}
+	out := *p
+	out.InitialAbsent = ids(p.InitialAbsent)
+	out.InitialDelta = delta(p.InitialDelta)
+	out.Batches = make([]Batch, len(p.Batches))
+	for i, b := range p.Batches {
+		b.Joins = ids(b.Joins)
+		b.Leaves = append([]Leave(nil), b.Leaves...)
+		for j := range b.Leaves {
+			b.Leaves[j].Node = forward[b.Leaves[j].Node]
+		}
+		b.Delta = delta(b.Delta)
+		out.Batches[i] = b
+	}
+	return &out
 }
 
 // defaultEvery is the mobility evaluation cadence when Schedule.Every

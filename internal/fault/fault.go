@@ -45,6 +45,10 @@ type Profile struct {
 	// offset by half a slot (the paper's unsynchronized-clock model;
 	// runs through the half-slot engine in internal/radio/unaligned.go).
 	SkewProb float64
+
+	// labels maps a Permuted profile's node ids back to the labels the
+	// coins hash (nil: every id is its own label).
+	labels []int32
 }
 
 // Burst approximates a Gilbert-Elliott two-state loss channel with a
@@ -107,19 +111,24 @@ type Jammer struct {
 }
 
 // Permute returns a copy of the profile with every node reference
-// mapped through forward (a relabeling's old→new map): crash victims
-// and jammer victim lists move with their nodes, slot schedules and
-// rates are unchanged. Used by the tiled kernel's relabeling pass so a
-// fault aimed at a caller-visible node keeps hitting the same physical
-// node after renumbering. The probabilistic coins (Loss, Burst, Prob
-// jammers, skew) hash node ids, so a permuted profile draws different
-// coins than the original — the schedule is covariant, the sampled
-// chaos is a fresh deterministic stream.
+// mapped through forward (a relabeling's old→new map, a permutation of
+// 0..len(forward)-1): crash victims and jammer victim lists move with
+// their nodes, slot schedules and rates are unchanged. The copy also
+// remembers each new id's original label, and its probabilistic coins
+// (Loss, Burst, Prob jammers, skew) hash those labels, so the permuted
+// profile compiles to the same chaos on moved nodes:
+// Lost(s, forward[a], forward[b]) == Lost(s, a, b) and
+// Jammed(s, forward[v]) == Jammed(s, v) for every slot and link.
+// Permutes compose.
 func (p *Profile) Permute(forward []int32) *Profile {
 	if p == nil {
 		return nil
 	}
 	out := *p
+	out.labels = make([]int32, len(forward))
+	for v, f := range forward {
+		out.labels[f] = label(p.labels, int32(v))
+	}
 	if len(p.Crashes) > 0 {
 		out.Crashes = make([]Crash, len(p.Crashes))
 		for i, c := range p.Crashes {
@@ -154,6 +163,9 @@ func (p *Profile) Permute(forward []int32) *Profile {
 func (p *Profile) Validate(n int) error {
 	if p == nil {
 		return nil
+	}
+	if p.labels != nil && n > 0 && len(p.labels) != n {
+		return fmt.Errorf("fault: profile permuted over %d nodes, network has %d", len(p.labels), n)
 	}
 	if p.Loss < 0 || p.Loss > 1 {
 		return fmt.Errorf("fault: Loss %g outside [0,1]", p.Loss)
@@ -266,6 +278,7 @@ type Injector struct {
 	jammers []jammer
 	skew    float64
 	n       int
+	labels  []int32 // see Profile.labels
 }
 
 // Compile validates the profile against an n-node network and builds
@@ -280,7 +293,7 @@ func (p *Profile) Compile(n int) (*Injector, error) {
 	if !p.Active() {
 		return nil, nil
 	}
-	inj := &Injector{seed: p.Seed, loss: p.Loss, skew: p.SkewProb, n: n}
+	inj := &Injector{seed: p.Seed, loss: p.Loss, skew: p.SkewProb, n: n, labels: p.labels}
 	if p.Burst != nil {
 		b := *p.Burst
 		if b.LossBad == 0 {
@@ -340,10 +353,22 @@ func coin(key uint64) float64 {
 	return float64(rng.Mix(key)>>11) / (1 << 53)
 }
 
+// label returns the label node v's coins hash under (labels nil: v
+// itself).
+func label(labels []int32, v int32) int32 {
+	if labels == nil {
+		return v
+	}
+	return labels[v]
+}
+
 // Lost reports whether the fault layer drops an otherwise successful
 // reception at node to from node from in the given slot. Pure in
 // (seed, slot, from, to); no allocation.
 func (inj *Injector) Lost(slot int64, from, to int32) bool {
+	if inj.labels != nil {
+		from, to = inj.labels[from], inj.labels[to]
+	}
 	if inj.loss > 0 {
 		k := uint64(inj.seed)*0x9e3779b97f4a7c15 ^ uint64(slot)*streamLoss ^
 			uint64(uint32(from))<<32 ^ uint64(uint32(to))
@@ -386,7 +411,7 @@ func (inj *Injector) Jammed(slot int64, to int32) bool {
 		}
 		if j.prob > 0 {
 			k := uint64(inj.seed)*0x9e3779b97f4a7c15 ^ uint64(slot)*streamJam ^
-				uint64(uint32(to)) ^ uint64(i)<<40
+				uint64(uint32(label(inj.labels, to))) ^ uint64(i)<<40
 			if coin(k) >= j.prob {
 				continue
 			}
@@ -412,7 +437,7 @@ func (inj *Injector) SkewOffsets(n int) []int8 {
 		return off
 	}
 	for i := range off {
-		k := uint64(inj.seed)*0x9e3779b97f4a7c15 ^ uint64(i)*streamSkew
+		k := uint64(inj.seed)*0x9e3779b97f4a7c15 ^ uint64(label(inj.labels, int32(i)))*streamSkew
 		if coin(k) < inj.skew {
 			off[i] = 1
 		}

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -304,5 +305,70 @@ func TestPermute(t *testing.T) {
 	// The original is untouched (Permute copies node-bearing slices).
 	if p.Crashes[0].Node != 0 || p.Jammers[0].Nodes[0] != 1 {
 		t.Fatalf("Permute mutated its receiver: %+v", p)
+	}
+
+	// Same chaos, moved nodes: the permuted profile's loss, burst and
+	// Prob-jammer coins at forward[a] are the original's at a — also
+	// after a second Permute composes onto the first.
+	const n = 64
+	coins := &Profile{
+		Seed:    11,
+		Loss:    0.2,
+		Burst:   &Burst{PBad: 0.3, Window: 8, LossGood: 0.05},
+		Jammers: []Jammer{{From: 0, Prob: 0.4}, {Nodes: []int{5, 9, 40}, From: 3, Prob: 0.7}},
+	}
+	rev := make([]int32, n)
+	for v := range rev {
+		rev[v] = int32(n - 1 - v)
+	}
+	perm := rand.New(rand.NewSource(3)).Perm(n)
+	fwd := make([]int32, n)
+	for v, f := range perm {
+		fwd[v] = int32(f)
+	}
+	both := make([]int32, n) // rev, then fwd
+	for v := range both {
+		both[v] = fwd[rev[v]]
+	}
+	orig, err := coins.Compile(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		prof *Profile
+		fwd  []int32
+	}{
+		{"once", coins.Permute(fwd), fwd},
+		{"composed", coins.Permute(rev).Permute(fwd), both},
+	} {
+		moved, err := c.prof.Compile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lost, jammed := 0, 0
+		for s := int64(0); s < 200; s++ {
+			for a := int32(0); a < n; a++ {
+				if moved.Jammed(s, c.fwd[a]) != orig.Jammed(s, a) {
+					t.Fatalf("%s: Jammed(%d, %d) differs from the original's at node %d", c.name, s, c.fwd[a], a)
+				}
+				if orig.Jammed(s, a) {
+					jammed++
+				}
+				b := (a*7 + int32(s)) % n
+				if moved.Lost(s, c.fwd[a], c.fwd[b]) != orig.Lost(s, a, b) {
+					t.Fatalf("%s: Lost(%d, %d, %d) differs from the original's on link %d→%d", c.name, s, c.fwd[a], c.fwd[b], a, b)
+				}
+				if orig.Lost(s, a, b) {
+					lost++
+				}
+			}
+		}
+		if lost == 0 || jammed == 0 {
+			t.Fatalf("%s: coins never fired (lost %d, jammed %d)", c.name, lost, jammed)
+		}
+	}
+	if _, err := coins.Permute(fwd).Compile(n + 1); err == nil {
+		t.Fatal("a profile permuted over n nodes compiled for n+1")
 	}
 }

@@ -211,12 +211,14 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 		// Self-stabilizing repair: an added edge between two decided
 		// nodes with equal colors is a conflict the static algorithm can
 		// never fix (decisions are irrevocable). Under RepairRetract one
-		// endpoint retracts — the later decider, ties to the higher id,
-		// a deterministic choice — and re-contends via the protocol's
-		// own contention path. Scanning the batch's sorted add list
-		// single-threaded keeps repair bit-identical at any worker
-		// count; once a victim retracts, its other conflict edges fail
-		// the decided check and cannot retract it twice.
+		// endpoint retracts — the later decider, ties to the edge's
+		// second endpoint (the higher id as compiled; Plan.Permute keeps
+		// the orientation), a deterministic choice — and re-contends via
+		// the protocol's own contention path. Scanning the batch's add
+		// list in plan order, single-threaded, keeps repair
+		// bit-identical at any worker count and under relabeling; once a
+		// victim retracts, its other conflict edges fail the decided
+		// check and cannot retract it twice.
 		if cs.plan.Repair == churn.RepairRetract {
 			for _, ed := range b.Delta.Adds {
 				a, bnd := ed[0], ed[1]
@@ -227,7 +229,7 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 					continue
 				}
 				victim := a
-				if da, db := e.res.DecideSlot[a], e.res.DecideSlot[bnd]; db > da || (db == da && bnd > a) {
+				if e.res.DecideSlot[bnd] >= e.res.DecideSlot[a] {
 					victim = bnd
 				}
 				e.retract(t, victim, met)

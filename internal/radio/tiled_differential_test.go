@@ -432,28 +432,6 @@ func TestTiledMediumFallsBack(t *testing.T) {
 // relabeling for the permutation differential below.
 func (p *scriptedDiffProto) Reset() { p.local = 0; p.recvs = 0 }
 
-// permutedProfile maps a deterministic fault profile's node lists
-// through fwd. Only slot-scheduled faults (crashes, restarts, Prob-0
-// jammers) are covariant under relabeling — the probabilistic coins
-// hash node ids — so the permutation differential composes exactly
-// those.
-func permutedProfile(prof *fault.Profile, fwd []int32) *fault.Profile {
-	out := &fault.Profile{Seed: prof.Seed}
-	for _, c := range prof.Crashes {
-		c.Node = int(fwd[c.Node])
-		out.Crashes = append(out.Crashes, c)
-	}
-	for _, j := range prof.Jammers {
-		nodes := make([]int, len(j.Nodes))
-		for i, v := range j.Nodes {
-			nodes[i] = int(fwd[v])
-		}
-		j.Nodes = nodes
-		out.Jammers = append(out.Jammers, j)
-	}
-	return out
-}
-
 // mapResultBack rewrites a permuted-run Result into original labels:
 // per-node arrays are gathered through Forward, the down set mapped
 // through Inverse and re-sorted, scalars copied verbatim.
@@ -484,14 +462,13 @@ func sortInt32Slice(xs []int32) {
 
 // TestTiledPermutationDifferential is the second axis: run the untiled
 // kernel on the original graph, run the TILED kernel on a relabeled
-// copy — scripts, wake slots and deterministic faults placed
-// covariantly — and require the permuted output, mapped back through
-// the inverse permutation, to be byte-identical: every scalar counter,
-// every per-node array, every protocol's reception count. This is what
-// licenses the public Tiling option to relabel behind the caller's
-// back. Probabilistic coins (capture, loss, burst, Prob jammers)
-// hash node ids and are deliberately excluded; the composition of
-// those with tiling is pinned by the same-graph axis above.
+// copy — scripts, wake slots and faults placed covariantly, the fault
+// profile through fault.Profile.Permute, whose loss, burst and Prob
+// jammer coins keep hashing the original labels — and require the
+// permuted output, mapped back through the inverse permutation, to be
+// byte-identical: every scalar counter, every per-node array, every
+// protocol's reception count. This is what licenses the public Tiling
+// option to relabel behind the caller's back.
 func TestTiledPermutationDifferential(t *testing.T) {
 	d := topology.UDGWithTargetDegree(60, 8, 13)
 	er := erdosRenyi(50, 0.12, 21)
@@ -523,6 +500,9 @@ func TestTiledPermutationDifferential(t *testing.T) {
 		{"er50/random", er, randPerm(er.N(), 32)},
 	}
 	prof := &fault.Profile{
+		Seed:  9,
+		Loss:  0.1,
+		Burst: &fault.Burst{PBad: 0.2, Window: 8, LossBad: 0.6},
 		Crashes: []fault.Crash{
 			{Node: 5, At: 40},
 			{Node: 11, At: 60, Restart: 160},
@@ -530,6 +510,7 @@ func TestTiledPermutationDifferential(t *testing.T) {
 		},
 		Jammers: []fault.Jammer{
 			{Nodes: []int{1, 7, 19}, From: 20, Until: 220, Period: 8, Duty: 3},
+			{From: 50, Until: 250, Prob: 0.2},
 		},
 	}
 	for _, tc := range cases {
@@ -579,7 +560,7 @@ func TestTiledPermutationDifferential(t *testing.T) {
 					var basePr, permPr *fault.Profile
 					if withFaults {
 						basePr = prof
-						permPr = permutedProfile(prof, tc.perm.Forward)
+						permPr = prof.Permute(tc.perm.Forward)
 					}
 					baseRes, baseRecvs := run(tc.g, scripts, wake, basePr, 1, 0)
 
@@ -607,9 +588,9 @@ func TestTiledPermutationDifferential(t *testing.T) {
 							}
 						}
 					}
-					if withFaults && (baseRes.Crashes == 0 || baseRes.Jammed == 0) {
-						t.Fatalf("%s: deterministic faults injected nothing (crashes=%d jammed=%d); vacuous",
-							pat.Name, baseRes.Crashes, baseRes.Jammed)
+					if withFaults && (baseRes.Crashes == 0 || baseRes.Jammed == 0 || baseRes.Lost == 0) {
+						t.Fatalf("%s: faults injected nothing (crashes=%d jammed=%d lost=%d); vacuous",
+							pat.Name, baseRes.Crashes, baseRes.Jammed, baseRes.Lost)
 					}
 					if baseRes.Deliveries == 0 || baseRes.Collisions == 0 {
 						t.Fatalf("%s: no channel contention; permutation differential is vacuous", pat.Name)

@@ -1051,11 +1051,8 @@ func TestMediumJob(t *testing.T) {
 func TestTilingJob(t *testing.T) {
 	// A tiled job (tiling=-1 auto-selects the tile count) runs end to
 	// end, produces a proper complete coloring, and matches the direct
-	// library call with the same options bit-for-bit. (Tiling relabels
-	// node ids internally, so a tiled outcome is deterministic for its
-	// options but not identical to the untiled run's — the bit-identity
-	// pinned by the internal/radio differential suite is at fixed
-	// labels.)
+	// library call bit-for-bit — with the same options, and with tiling
+	// off: tiling changes speed, never the outcome.
 	_, ts := newTestServer(t, Config{Workers: 1})
 	adj := ringAdjacency(64)
 	_, st := submit(t, ts, JobRequest{Adjacency: adj, Seed: 11, Tiling: -1})
@@ -1075,6 +1072,13 @@ func TestTilingJob(t *testing.T) {
 	want, _ := json.Marshal(direct)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("tiled job outcome differs from tiled direct call:\n served: %s\n direct: %s", got, want)
+	}
+	untiled, err := radiocolor.ColorGraphContext(context.Background(), adj, radiocolor.Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain, _ := json.Marshal(untiled); !bytes.Equal(got, plain) {
+		t.Fatalf("tiled job outcome differs from the untiled direct call:\n served:  %s\n untiled: %s", got, plain)
 	}
 
 	// An invalid tiling value is rejected at submission.

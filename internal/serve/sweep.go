@@ -12,8 +12,8 @@ import (
 )
 
 // SweepRequest is the body of POST /v1/sweeps: a base job plus up to
-// six swept dimensions. The grid is the cross product, expanded in a
-// fixed nesting order — n, then seed, wakeup, faults, medium, tiling —
+// five swept dimensions. The grid is the cross product, expanded in a
+// fixed nesting order — n, then seed, wakeup, faults, medium —
 // so cell indices are deterministic and two replicas (or two runs)
 // agree on which cell is which. An empty dimension keeps the base
 // value and contributes a factor of one.
@@ -34,8 +34,6 @@ type SweepRequest struct {
 	// Medium sweeps reception models (ParseMedium syntax; "" for the
 	// default collision medium).
 	Medium []string `json:"medium,omitempty"`
-	// Tiling sweeps the slot-kernel tile selector.
-	Tiling []int `json:"tiling,omitempty"`
 }
 
 // expand materializes the grid in the canonical order. Every returned
@@ -52,37 +50,32 @@ func (r *SweepRequest) expand() ([]JobRequest, error) {
 		return n
 	}
 	total := or1(len(r.N)) * or1(len(r.Seed)) * or1(len(r.Wakeup)) *
-		or1(len(r.Faults)) * or1(len(r.Medium)) * or1(len(r.Tiling))
+		or1(len(r.Faults)) * or1(len(r.Medium))
 	cells := make([]JobRequest, 0, total)
 	for in := 0; in < or1(len(r.N)); in++ {
 		for is := 0; is < or1(len(r.Seed)); is++ {
 			for iw := 0; iw < or1(len(r.Wakeup)); iw++ {
 				for ifa := 0; ifa < or1(len(r.Faults)); ifa++ {
 					for im := 0; im < or1(len(r.Medium)); im++ {
-						for it := 0; it < or1(len(r.Tiling)); it++ {
-							cell := r.Base
-							if len(r.N) > 0 {
-								top := *r.Base.Topology
-								top.N = r.N[in]
-								cell.Topology = &top
-							}
-							if len(r.Seed) > 0 {
-								cell.Seed = r.Seed[is]
-							}
-							if len(r.Wakeup) > 0 {
-								cell.Wakeup = r.Wakeup[iw]
-							}
-							if len(r.Faults) > 0 {
-								cell.Faults = r.Faults[ifa]
-							}
-							if len(r.Medium) > 0 {
-								cell.Medium = r.Medium[im]
-							}
-							if len(r.Tiling) > 0 {
-								cell.Tiling = r.Tiling[it]
-							}
-							cells = append(cells, cell)
+						cell := r.Base
+						if len(r.N) > 0 {
+							top := *r.Base.Topology
+							top.N = r.N[in]
+							cell.Topology = &top
 						}
+						if len(r.Seed) > 0 {
+							cell.Seed = r.Seed[is]
+						}
+						if len(r.Wakeup) > 0 {
+							cell.Wakeup = r.Wakeup[iw]
+						}
+						if len(r.Faults) > 0 {
+							cell.Faults = r.Faults[ifa]
+						}
+						if len(r.Medium) > 0 {
+							cell.Medium = r.Medium[im]
+						}
+						cells = append(cells, cell)
 					}
 				}
 			}

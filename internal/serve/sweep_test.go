@@ -202,6 +202,34 @@ func TestSweepValidationErrors(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsTilingAxis pins the removed tiling dimension: tiling
+// never changes an outcome, so a sweep naming it is an unknown field
+// (the job-level "tiling" field stays).
+func TestSweepRejectsTilingAxis(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, err := ts.Client().Post(ts.URL+"/v1/sweeps", "application/json",
+		strings.NewReader(`{"base":{"adjacency":[[1],[0]]},"seed":[1,2],"tiling":[0,4]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "tiling"`) {
+		t.Fatalf("sweep with a tiling axis: %d %q, want 400 naming the unknown field", resp.StatusCode, e.Error)
+	}
+	// A tiled base job still sweeps.
+	resp, _ = submitSweep(t, ts, SweepRequest{
+		Base: JobRequest{Adjacency: ringAdjacency(4), Tiling: 4},
+		Seed: []int64{1, 2},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("sweep with a tiled base: status %d", resp.StatusCode)
+	}
+}
+
 func TestSweepCancelFansOut(t *testing.T) {
 	gate := make(chan struct{})
 	s, ts := newTestServer(t, Config{

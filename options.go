@@ -82,19 +82,16 @@ type Options struct {
 	// Tiling selects the tiled cache-blocked slot kernel for large
 	// runs: -1 lets the engine pick a tile count (~32k-node tiles),
 	// values > 1 fix it, and 0 (the default) keeps the classic untiled
-	// kernel. When enabled, the run first renumbers the graph with the
-	// shared locality pass (a Hilbert curve when node positions are
-	// known, BFS order otherwise) so that tiles are spatially
-	// contiguous; every Outcome field — colors, leaders, latencies,
-	// fault reports — and every Observer/Trace event is mapped back to
-	// the caller's node ids. A tiled run is deterministic in Seed and
-	// identical at any Workers count, but it is a different random
-	// execution than the untiled run (node random streams attach to
-	// the relabeled ids), so its colors differ numerically from a
-	// Tiling=0 run while satisfying exactly the same guarantees. The
-	// relabeling is skipped (and the knob passed through to the engine,
-	// which ignores it) when a Medium or clock-skew faults are
-	// configured: those paths own slot resolution and never tile.
+	// kernel. It changes speed, not results: at any Workers count a
+	// tiled run's Outcome equals the Tiling=0 run's, and so do its
+	// Observer events and Trace records up to their order within a
+	// slot. The run stores the nodes along the shared locality pass (a
+	// Hilbert curve when node positions are known, BFS order otherwise)
+	// so that tiles are spatially contiguous, but every node keeps its
+	// caller id as its identity — wire id, random stream, wake slot,
+	// fault coins and churn events — and everything reported speaks
+	// caller ids. A Medium or clock-skew faults keep the untiled loop
+	// (those paths own slot resolution), which ignores the knob.
 	Tiling int
 
 	// Measured, when non-nil, supplies precomputed graph parameters
@@ -237,6 +234,16 @@ func (o Options) Validate() error {
 		}
 		if o.Faults != nil && o.Faults.SkewProb > 0 {
 			return errors.New("radiocolor: Churn cannot combine with clock-skew faults (the half-slot engine has no churn seam)")
+		}
+		// Checked here, in caller ids, rather than by the engine, which
+		// would name a tiled run's engine slot.
+		if f := o.Faults; f != nil {
+			subjects := sch.Subjects()
+			for _, cr := range f.Crashes {
+				if subjects[cr.Node] {
+					return fmt.Errorf("radiocolor: node %d is both a fault crash/restart victim and a churn subject; the profiles must be disjoint", cr.Node)
+				}
+			}
 		}
 	}
 	if t := o.Trace; t != nil {

@@ -243,15 +243,16 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 		budget = max(par.SlotBudget(), 1_000_000)
 	}
 
-	// The tiled kernel (Options.Tiling) partitions node ids into
-	// contiguous blocks, so a tiled run first renumbers the graph along
-	// the shared locality pass (internal/graph); wake slots and fault
-	// node lists move with their nodes, and everything the caller sees
-	// — events, colors, latencies, down lists — is mapped back through
-	// the inverse permutation below. Graph parameters (Δ, κ) were
-	// measured above, on the original labels, so protocol constants are
-	// unaffected. Media and clock skew never tile (their resolvers own
-	// the slot loop), so those runs keep the caller's labels.
+	// The tiled kernel (Options.Tiling) partitions engine slots into
+	// contiguous blocks, so a tiled run first stores the nodes along the
+	// shared locality pass (internal/graph): caller node v runs in
+	// engine slot Forward[v]. Everything that makes a node itself — its
+	// wire id, random stream, wake slot, fault coins and churn events —
+	// stays keyed on the caller's label v, and everything the caller
+	// sees is mapped back through the inverse permutation, so tiling
+	// changes speed, never the result. Media and clock skew never tile
+	// (their resolvers own the slot loop), so those runs keep the
+	// caller's order.
 	runG := g
 	var tilePerm *graph.Permutation
 	if opt.Tiling != 0 && opt.Tiling != 1 && opt.Medium == nil &&
@@ -315,8 +316,8 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 			prof.Seed = opt.Seed
 		}
 		if tilePerm != nil {
-			// Crash and jammer victims follow their nodes into the
-			// relabeled id space.
+			// Crash and jammer victims follow their nodes into engine
+			// slots; the coins keep hashing caller labels.
 			prof = prof.Permute(tilePerm.Forward)
 		}
 		var ferr error
@@ -326,39 +327,32 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 		}
 	}
 
-	// Compile the churn schedule against the concrete (possibly
-	// relabeled) graph. Mobility needs the geometry, so the points and
-	// radius of a geometric entry point thread through here; on a tiled
-	// run both the schedule's node references and the points move into
-	// the relabeled id space first, mirroring the fault permutation
-	// above.
-	var plan *churn.Plan
+	// Compile the churn schedule against the caller's graph. Mobility
+	// needs the geometry, so the points and radius of a geometric entry
+	// point thread through here. A tiled run hands the engine the plan
+	// moved into engine slots, in the caller's event order, and keeps
+	// the caller's plan for the verdict graph.
+	var plan, runPlan *churn.Plan
 	if c := opt.Churn; c.active() {
 		sch, cerr := c.schedule() // validated above
 		if cerr != nil {
 			return nil, cerr
 		}
-		env := churn.Env{G: runG}
+		env := churn.Env{G: g}
 		if len(sch.Waypoints) > 0 {
 			if pts == nil {
 				return nil, errors.New("radiocolor: churn mobility needs node positions; use ColorUnitDisk (or the points job input)")
 			}
-			envPts := pts
-			if tilePerm != nil {
-				envPts = make([]geom.Point, len(pts))
-				for i, pt := range pts {
-					envPts[tilePerm.Forward[i]] = pt
-				}
-			}
-			env.Points = envPts
+			env.Points = pts
 			env.Radius = radius
-		}
-		if tilePerm != nil {
-			sch = sch.Permute(tilePerm.Forward)
 		}
 		plan, cerr = sch.Compile(env)
 		if cerr != nil {
 			return nil, fmt.Errorf("radiocolor: %w", cerr)
+		}
+		runPlan = plan
+		if tilePerm != nil {
+			runPlan = plan.Permute(tilePerm.Forward)
 		}
 	}
 
@@ -389,28 +383,26 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 		}
 	}
 
-	nodes, protos := core.Nodes(g.N(), opt.Seed, par, core.Ablation{})
-	// On a relabeled (tiled) run, every per-node id crossing an
-	// observability seam is mapped back to the caller's labels.
-	invNode := func(v int32) int32 { return v }
-	if tilePerm != nil {
-		invNode = func(v int32) int32 { return tilePerm.Inverse[v] }
+	// Caller node v keeps its wire id and random stream and only moves
+	// to engine slot Forward[v]. Building in engine order keeps the
+	// nodes of one tile close in memory.
+	nodes := make([]*core.Node, g.N())
+	protos := make([]radio.Protocol, g.N())
+	for j := range protos {
+		v := radio.NodeID(j)
+		if tilePerm != nil {
+			v = radio.NodeID(tilePerm.Inverse[j])
+		}
+		nodes[v] = core.NewNode(v, radio.NodeRand(opt.Seed, v), par, core.Ablation{})
+		protos[j] = nodes[v]
 	}
 	if po, ok := opt.Observer.(PhaseObserver); ok {
 		// Fan phase transitions out to both the collector and the
 		// caller's PhaseObserver (a node holds a single hook, so the
 		// collector path is inlined here instead of ObservePhases).
 		hook := func(slot int64, node int32, from, to core.Phase, class int32) {
-			node = invNode(node)
 			collector.OnPhase(slot, node, obs.Phase(from), obs.Phase(to), class)
 			po.OnPhase(slot, int(node), obs.Phase(from).String(), obs.Phase(to).String())
-		}
-		for _, v := range nodes {
-			v.SetPhaseHook(hook)
-		}
-	} else if tilePerm != nil && (met != nil || tracer != nil || timeline != nil) {
-		hook := func(slot int64, node int32, from, to core.Phase, class int32) {
-			collector.OnPhase(slot, invNode(node), obs.Phase(from), obs.Phase(to), class)
 		}
 		for _, v := range nodes {
 			v.SetPhaseHook(hook)
@@ -434,7 +426,7 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 		Metrics:   met,
 		Faults:    inj,
 		Medium:    med,
-		Churn:     plan,
+		Churn:     runPlan,
 	}
 	var res *radio.Result
 	var err error
@@ -474,13 +466,7 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 		g:              g,
 	}
 	colors := make([]int32, g.N())
-	for i := range nodes {
-		v := nodes[i]
-		if tilePerm != nil {
-			// Node i of the caller's graph ran as nodes[Forward[i]];
-			// res was already mapped back above.
-			v = nodes[tilePerm.Forward[i]]
-		}
+	for i, v := range nodes {
 		out.Colors[i] = int(v.Color())
 		colors[i] = v.Color()
 		out.PerNodeLatency[i] = res.Latency(i)
@@ -489,15 +475,11 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 		}
 	}
 	// The verdict graph: churned runs are judged against the topology
-	// they ended with (replayed from the plan), mapped back to caller
-	// ids on a tiled run; static runs against the input graph.
+	// they ended with (replayed from the caller's plan); static runs
+	// against the input graph.
 	vg := g
 	if plan != nil {
-		vg = plan.FinalGraph(runG)
-		if tilePerm != nil {
-			back := graph.Permutation{Forward: tilePerm.Inverse, Inverse: tilePerm.Forward}
-			vg = back.Apply(vg)
-		}
+		vg = plan.FinalGraph(g)
 	}
 	rep := verify.Check(vg, colors)
 	out.Proper = rep.Proper

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -268,7 +269,7 @@ func TestTilingCrashRestartRegression(t *testing.T) {
 	// restart schedule: the crash victim's id must follow it through
 	// the relabeling, the restarted node must re-decide, and every
 	// report must speak caller ids. Regression guard for the permute ×
-	// restart × tiling composition, which no other test exercised. The
+	// restart × tiling composition on a BFS-relabeled ring. The
 	// restart slot (2500) sits far past cold convergence (~850 slots on
 	// this ring), so a decision after it can only belong to the victim
 	// or a neighbor stalled waiting on it — anything else is an id
@@ -309,17 +310,13 @@ func TestTilingCrashRestartRegression(t *testing.T) {
 		}
 	}
 
-	// Untiled reference: the same schedule without relabeling agrees on
-	// the fault verdict (executions differ numerically; the contract is
-	// the verdict, not the colors).
+	// Tiling changes speed, never the result: the untiled run of the
+	// same schedule is the same execution.
 	ref, err := ColorGraph(adj, Options{Seed: 7, Faults: fc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Faults == nil || ref.Faults.Crashes != 1 || ref.Faults.Restarts != 1 || !ref.OK() {
-		t.Fatalf("untiled reference disagrees: %+v ok=%v", ref.Faults, ref.OK())
-	}
-	if ref.PerNodeLatency[5] < 2500 {
-		t.Errorf("untiled node 5 latency %d predates its restart", ref.PerNodeLatency[5])
+	if !reflect.DeepEqual(ref, out) {
+		t.Fatalf("untiled reference differs:\n untiled %+v\n tiled   %+v", ref, out)
 	}
 }

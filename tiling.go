@@ -1,18 +1,21 @@
 package radiocolor
 
 import (
+	"slices"
+
 	"radiocolor/internal/graph"
 	"radiocolor/internal/radio"
 )
 
 // Support for Options.Tiling: the relabeling pass that makes the tiled
 // kernel's contiguous-range tiles spatially coherent, and the adapters
-// that keep the relabeling invisible — every event and every Outcome
-// field is mapped back to the caller's node ids before anyone sees it.
-// The permutation-differential suite in internal/radio pins the
-// underlying identity: a tiled run on the relabeled graph, mapped back
-// through the inverse permutation, is byte-identical to an untiled run
-// of the same execution.
+// that map engine slots back to the caller's node ids before anyone
+// sees an event or an Outcome field. Nodes keep their caller labels as
+// identities (colorGraph), so only where a node is stored changes. The
+// permutation-differential suite in internal/radio pins the underlying
+// identity: a tiled run on the relabeled graph, mapped back through the
+// inverse permutation, is byte-identical to an untiled run of the same
+// execution.
 
 // tilingPermutation picks the locality order for a tiled run: Hilbert
 // curve when node positions are known (geometric entry points), BFS
@@ -24,9 +27,11 @@ func tilingPermutation(g *graph.Graph, xs, ys []float64) graph.Permutation {
 	return graph.BFSOrder(g)
 }
 
-// invObserver maps the node ids of every engine event back through a
-// relabeling's inverse before handing them to the inner observer, so
+// invObserver maps the engine slot of every event back through a
+// relabeling's inverse before handing it to the inner observer, so
 // collectors, tracers and caller observers all speak original ids.
+// Messages pass through untouched: a sender's wire id already is its
+// caller label.
 type invObserver struct {
 	inner radio.Observer
 	inv   []int32
@@ -34,29 +39,13 @@ type invObserver struct {
 
 func (o invObserver) node(v radio.NodeID) radio.NodeID { return radio.NodeID(o.inv[v]) }
 
-// invMsg re-labels a message's sender; all other message behavior
-// (payload size accounting) passes through.
-type invMsg struct {
-	radio.Message
-	sender radio.NodeID
-}
-
-func (m invMsg) Sender() radio.NodeID { return m.sender }
-
-func (o invObserver) mapMsg(msg radio.Message) radio.Message {
-	if msg == nil {
-		return nil
-	}
-	return invMsg{Message: msg, sender: o.node(msg.Sender())}
-}
-
 func (o invObserver) OnSlot(slot int64)                 { o.inner.OnSlot(slot) }
 func (o invObserver) OnWake(slot int64, v radio.NodeID) { o.inner.OnWake(slot, o.node(v)) }
 func (o invObserver) OnTransmit(slot int64, from radio.NodeID, msg radio.Message) {
-	o.inner.OnTransmit(slot, o.node(from), o.mapMsg(msg))
+	o.inner.OnTransmit(slot, o.node(from), msg)
 }
 func (o invObserver) OnDeliver(slot int64, to radio.NodeID, msg radio.Message) {
-	o.inner.OnDeliver(slot, o.node(to), o.mapMsg(msg))
+	o.inner.OnDeliver(slot, o.node(to), msg)
 }
 func (o invObserver) OnCollision(slot int64, at radio.NodeID, transmitters int) {
 	o.inner.OnCollision(slot, o.node(at), transmitters)
@@ -66,8 +55,9 @@ func (o invObserver) OnDecide(slot int64, v radio.NodeID) {
 }
 
 // mapTiledResult rewrites a relabeled run's Result into original node
-// ids: per-node arrays gathered through Forward, the down list mapped
-// through Inverse (re-sorted ascending), scalar counters verbatim.
+// ids: per-node arrays gathered through Forward, the down and left
+// lists mapped through Inverse (re-sorted ascending), scalar counters
+// verbatim.
 func mapTiledResult(res *radio.Result, p graph.Permutation) *radio.Result {
 	n := len(p.Forward)
 	mapped := *res
@@ -79,30 +69,20 @@ func mapTiledResult(res *radio.Result, p graph.Permutation) *radio.Result {
 		mapped.DecideSlot[v] = res.DecideSlot[p.Forward[v]]
 		mapped.PerNodeTx[v] = res.PerNodeTx[p.Forward[v]]
 	}
-	if len(res.Down) > 0 {
-		down := make([]int32, len(res.Down))
-		for i, v := range res.Down {
-			down[i] = p.Inverse[v]
-		}
-		sortInt32Asc(down)
-		mapped.Down = down
-	}
-	if len(res.Left) > 0 {
-		left := make([]int32, len(res.Left))
-		for i, v := range res.Left {
-			left[i] = p.Inverse[v]
-		}
-		sortInt32Asc(left)
-		mapped.Left = left
-	}
+	mapped.Down = mapIDs(res.Down, p.Inverse)
+	mapped.Left = mapIDs(res.Left, p.Inverse)
 	return &mapped
 }
 
-func sortInt32Asc(xs []int32) {
-	// Insertion sort: down lists are tiny (crashed nodes only).
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
+// mapIDs maps a list of node ids through m, sorted ascending.
+func mapIDs(ids, m []int32) []int32 {
+	if len(ids) == 0 {
+		return ids
 	}
+	out := make([]int32, len(ids))
+	for i, v := range ids {
+		out[i] = m[v]
+	}
+	slices.Sort(out)
+	return out
 }
