@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 
 	"radiocolor/internal/radio"
+	"radiocolor/internal/rng"
 )
 
 func testParams() Params {
@@ -90,7 +92,7 @@ func TestDerivedMatchesParams(t *testing.T) {
 		}
 		want := derived{
 			waitSlots: p.WaitSlots(), threshold: p.Threshold(), serveSlots: p.ServeSlots(),
-			crit: [2]int64{p.CriticalRange(0), p.CriticalRange(5)}, pSend: p.PSend(), pLeader: p.PLeader(),
+			crit: [2]int64{p.CriticalRange(0), p.CriticalRange(5)}, sendCoin: rng.CoinThreshold(p.PSend()), leaderCoin: rng.CoinThreshold(p.PLeader()),
 		}
 		if k != want {
 			t.Errorf("%+v: derived %+v, want %+v", p, k, want)
@@ -187,6 +189,50 @@ func TestBitsFor(t *testing.T) {
 	}
 }
 
+// TestIntegerBitCounts pins the integer bit counts: bitsFor(v) is the
+// least k with 2^k > v (at least 1), exact where the float formula
+// ⌈log₂(v+1)⌉ under-counts from 2^49 on; idBits(n) is the least k with
+// 2^k ≥ n³, equal to ⌈3·log₂ n⌉ for every n below 2^21 (where float
+// rounding is still exact enough to serve as the reference).
+func TestIntegerBitCounts(t *testing.T) {
+	least := func(v uint64) int { // least k ≥ 1 with 2^k > v
+		k := 1
+		for k < 64 && uint64(1)<<k <= v {
+			k++
+		}
+		return k
+	}
+	for k := 0; k < 63; k++ {
+		for _, v := range []int64{1<<k - 1, 1 << k, 1<<k + 1} {
+			if v < 0 {
+				continue
+			}
+			if got, want := bitsFor(v), least(uint64(v)); got != want {
+				t.Fatalf("bitsFor(%d) = %d, want %d", v, got, want)
+			}
+		}
+	}
+	if got := bitsFor(1 << 49); got != 50 {
+		t.Errorf("bitsFor(2^49) = %d, want 50", got)
+	}
+	for n := 0; n < 1<<21; n++ {
+		want := int(math.Ceil(3 * math.Log2(float64(max(n, 2)))))
+		if got := idBits(n); got != want {
+			t.Fatalf("idBits(%d) = %d, want %d", n, got, want)
+		}
+	}
+	// Large n: 2^k ≥ n³ > 2^(k−1), checked exactly in 128 bits via
+	// big-enough powers of two around the cube.
+	for _, n := range []int{1<<21 + 1, 1 << 25, 3_000_000_000 / 2, math.MaxInt32} {
+		k := idBits(n)
+		cube := new(big.Int).Exp(big.NewInt(int64(n)), big.NewInt(3), nil)
+		lo, hi := new(big.Int).Lsh(big.NewInt(1), uint(k-1)), new(big.Int).Lsh(big.NewInt(1), uint(k))
+		if cube.Cmp(hi) > 0 || cube.Cmp(lo) <= 0 {
+			t.Errorf("idBits(%d) = %d: 2^%d does not bound n³ tightly", n, k, k)
+		}
+	}
+}
+
 func TestMessageStrings(t *testing.T) {
 	for _, s := range []string{
 		(&MsgA{From: 1, Class: 2, Counter: 3}).String(),
@@ -219,28 +265,28 @@ func newTestNode(id radio.NodeID) *Node {
 func TestChiAvoidsCriticalRanges(t *testing.T) {
 	v := newTestNode(0)
 	v.Start(0)
-	v.class = 2
-	r := v.par.CriticalRange(2)
+	v.s.class[v.i] = 2
+	r := v.s.par.CriticalRange(2)
 	// Competitors at counters 0, −3, 100 (all observed at slot 10,
 	// queried at slot 10 → d = base).
-	v.comp = []competitor{
+	v.s.list[v.i] = []competitor{
 		{id: 1, base: 0, at: 10},
 		{id: 2, base: -3, at: 10},
 		{id: 3, base: 100, at: 10},
 	}
-	x := v.chi(10)
+	x := v.s.chi(10, v.i)
 	if x > 0 {
 		t.Fatalf("χ = %d > 0", x)
 	}
-	for _, c := range v.comp {
+	for _, c := range v.s.list[v.i] {
 		d := c.base
 		if x >= d-r && x <= d+r {
 			t.Fatalf("χ = %d inside critical range of d = %d (r = %d)", x, d, r)
 		}
 	}
 	// With no competitors, χ = 0 (the maximum allowed value).
-	v.comp = v.comp[:0]
-	if got := v.chi(10); got != 0 {
+	v.s.list[v.i] = v.s.list[v.i][:0]
+	if got := v.s.chi(10, v.i); got != 0 {
 		t.Errorf("χ with empty P_v = %d, want 0", got)
 	}
 }
@@ -248,12 +294,12 @@ func TestChiAvoidsCriticalRanges(t *testing.T) {
 func TestChiAccountsForElapsedSlots(t *testing.T) {
 	v := newTestNode(0)
 	v.Start(0)
-	v.class = 0
-	r := v.par.CriticalRange(0)
+	v.s.class[v.i] = 0
+	r := v.s.par.CriticalRange(0)
 	// A competitor reported counter 5 at slot 0; by slot 40 its local
 	// copy is 45.
-	v.comp = []competitor{{id: 1, base: 5, at: 0}}
-	x := v.chi(40)
+	v.s.list[v.i] = []competitor{{id: 1, base: 5, at: 0}}
+	x := v.s.chi(40, v.i)
 	d := int64(45)
 	if x >= d-r && x <= d+r {
 		t.Fatalf("χ = %d inside range of aged copy d = %d", x, d)
@@ -270,21 +316,21 @@ func TestQuickChiProperty(t *testing.T) {
 	f := func(bases []int16, slotOff uint8) bool {
 		v := newTestNode(0)
 		v.Start(0)
-		v.class = 1
+		v.s.class[v.i] = 1
 		slot := int64(slotOff)
-		v.comp = v.comp[:0]
+		v.s.list[v.i] = v.s.list[v.i][:0]
 		for i, b := range bases {
 			if i >= 12 {
 				break
 			}
-			v.comp = append(v.comp, competitor{id: radio.NodeID(i + 1), base: int64(b), at: 0})
+			v.s.list[v.i] = append(v.s.list[v.i], competitor{id: radio.NodeID(i + 1), base: int64(b), at: 0})
 		}
-		r := v.par.CriticalRange(1)
-		x := v.chi(slot)
+		r := v.s.par.CriticalRange(1)
+		x := v.s.chi(slot, v.i)
 		if x > 0 {
 			return false
 		}
-		for _, c := range v.comp {
+		for _, c := range v.s.list[v.i] {
 			d := c.base + slot
 			if x >= d-r && x <= d+r {
 				return false
@@ -294,7 +340,7 @@ func TestQuickChiProperty(t *testing.T) {
 		// interval's lower edge.
 		if x != 0 {
 			edge := false
-			for _, c := range v.comp {
+			for _, c := range v.s.list[v.i] {
 				if x == c.base+slot-r-1 {
 					edge = true
 				}
@@ -333,7 +379,7 @@ func TestNewNodePanicsOnBadParams(t *testing.T) {
 func TestNodeWaitingIsSilent(t *testing.T) {
 	v := newTestNode(0)
 	v.Start(0)
-	w := v.par.WaitSlots()
+	w := v.s.par.WaitSlots()
 	for s := int64(0); s < w-1; s++ {
 		if msg := v.Send(s); msg != nil {
 			t.Fatalf("waiting node transmitted at slot %d", s)
@@ -351,7 +397,7 @@ func TestNodeWaitingIsSilent(t *testing.T) {
 func TestLoneNodeBecomesLeader(t *testing.T) {
 	v := newTestNode(0)
 	v.Start(0)
-	want := v.par.WaitSlots() + v.par.Threshold()
+	want := v.s.par.WaitSlots() + v.s.par.Threshold()
 	var slot int64
 	for slot = 0; slot < want+10; slot++ {
 		v.Send(slot)
@@ -418,8 +464,8 @@ func TestCoveredNodeMovesToRequest(t *testing.T) {
 func TestHigherClassCoverageAdvances(t *testing.T) {
 	v := newTestNode(0)
 	v.Start(0)
-	v.class = 5
-	v.phase = PhaseActive
+	v.s.class[v.i] = 5
+	v.s.phase[v.i] = PhaseActive
 	v.Recv(0, &MsgC{From: 2, Class: 4}) // wrong class: ignored
 	if v.Class() != 5 || v.Phase() != PhaseActive {
 		t.Fatal("reacted to foreign class")
@@ -436,26 +482,26 @@ func TestHigherClassCoverageAdvances(t *testing.T) {
 func TestCriticalRangeReset(t *testing.T) {
 	v := newTestNode(0)
 	v.Start(0)
-	v.phase = PhaseActive
-	v.class = 0
-	v.counter = 100
-	r := v.par.CriticalRange(0)
+	v.s.phase[v.i] = PhaseActive
+	v.s.class[v.i] = 0
+	v.s.counter[v.i] = 100
+	r := v.s.par.CriticalRange(0)
 	// Far counter: no reset.
 	v.Recv(0, &MsgA{From: 1, Class: 0, Counter: 100 + r + 1})
-	if v.counter != 100 || v.Resets() != 0 {
-		t.Fatalf("far counter reset us: counter=%d", v.counter)
+	if v.s.counter[v.i] != 100 || v.Resets() != 0 {
+		t.Fatalf("far counter reset us: counter=%d", v.s.counter[v.i])
 	}
 	// Within range: reset to χ ≤ 0.
 	v.Recv(1, &MsgA{From: 2, Class: 0, Counter: 100 + r})
-	if v.counter > 0 || v.Resets() != 1 {
-		t.Fatalf("no reset: counter=%d resets=%d", v.counter, v.Resets())
+	if v.s.counter[v.i] > 0 || v.Resets() != 1 {
+		t.Fatalf("no reset: counter=%d resets=%d", v.s.counter[v.i], v.Resets())
 	}
 	// Wrong class: ignored entirely.
-	before := v.counter
+	before := v.s.counter[v.i]
 	v.Recv(2, &MsgA{From: 3, Class: 7, Counter: before})
-	if v.counter != before || len(v.comp) != 3 {
+	if v.s.counter[v.i] != before || len(v.s.list[v.i]) != 3 {
 		// comp has senders 1, 2 (class 0); sender 3 must not appear.
-		for _, c := range v.comp {
+		for _, c := range v.s.list[v.i] {
 			if c.id == 3 {
 				t.Fatal("foreign-class competitor recorded")
 			}
@@ -466,36 +512,36 @@ func TestCriticalRangeReset(t *testing.T) {
 func TestNaiveResetAblation(t *testing.T) {
 	v := NewNode(0, radio.NodeRand(1, 0), testParams(), Ablation{NaiveReset: true})
 	v.Start(0)
-	v.phase = PhaseActive
-	v.counter = 50
+	v.s.phase[v.i] = PhaseActive
+	v.s.counter[v.i] = 50
 	v.Recv(0, &MsgA{From: 1, Class: 0, Counter: 60})
-	if v.counter != 0 {
-		t.Errorf("naive reset → 0, got %d", v.counter)
+	if v.s.counter[v.i] != 0 {
+		t.Errorf("naive reset → 0, got %d", v.s.counter[v.i])
 	}
-	v.counter = 50
+	v.s.counter[v.i] = 50
 	v.Recv(1, &MsgA{From: 1, Class: 0, Counter: 40})
-	if v.counter != 50 {
-		t.Errorf("naive scheme must ignore smaller counters, got %d", v.counter)
+	if v.s.counter[v.i] != 50 {
+		t.Errorf("naive scheme must ignore smaller counters, got %d", v.s.counter[v.i])
 	}
 }
 
 func TestNoCompetitorListAblation(t *testing.T) {
 	v := NewNode(0, radio.NodeRand(1, 0), testParams(), Ablation{NoCompetitorList: true})
 	v.Start(0)
-	v.phase = PhaseActive
-	v.class = 0
-	v.counter = 10
+	v.s.phase[v.i] = PhaseActive
+	v.s.class[v.i] = 0
+	v.s.counter[v.i] = 10
 	v.Recv(0, &MsgA{From: 1, Class: 0, Counter: 12})
-	if v.counter != 0 {
-		t.Errorf("ablated χ must be 0, got %d", v.counter)
+	if v.s.counter[v.i] != 0 {
+		t.Errorf("ablated χ must be 0, got %d", v.s.counter[v.i])
 	}
 }
 
 func TestLeaderQueueService(t *testing.T) {
 	v := newTestNode(0)
 	v.Start(0)
-	v.class = 0
-	v.becomeColored()
+	v.s.class[v.i] = 0
+	v.s.becomeColored(0, v.i)
 	if !v.IsLeader() || v.Color() != 0 {
 		t.Fatal("becomeColored(0) broken")
 	}
@@ -504,15 +550,15 @@ func TestLeaderQueueService(t *testing.T) {
 	v.Recv(1, &MsgR{From: 5, Leader: 0})
 	v.Recv(2, &MsgR{From: 6, Leader: 0})
 	v.Recv(3, &MsgR{From: 7, Leader: 3}) // foreign leader: ignored
-	if len(v.queue) != 2 {
-		t.Fatalf("queue = %v", v.queue)
+	if len(v.s.list[v.i]) != 2 {
+		t.Fatalf("queue = %v", v.s.list[v.i])
 	}
 	// Drive the service loop; we must observe assignments tc=1 to node 5
 	// then tc=2 to node 6, each within a serve window.
 	assigns := make(map[radio.NodeID]int32)
-	serve := v.par.ServeSlots()
+	serve := v.s.par.ServeSlots()
 	for s := int64(0); s < 40*serve; s++ {
-		if msg := v.coloredSend(s); msg != nil {
+		if msg := v.s.coloredSend(s, v.i); msg != nil {
 			if a, ok := msg.(*MsgAssign); ok {
 				if prev, seen := assigns[a.To]; seen && prev != a.TC {
 					t.Fatalf("node %d assigned twice: %d then %d", a.To, prev, a.TC)
@@ -520,7 +566,7 @@ func TestLeaderQueueService(t *testing.T) {
 				assigns[a.To] = a.TC
 			}
 		}
-		if len(v.queue) == 0 && v.serveLeft == 0 {
+		if len(v.s.list[v.i]) == 0 && v.s.serve[v.i].left == 0 {
 			break
 		}
 	}
@@ -530,7 +576,7 @@ func TestLeaderQueueService(t *testing.T) {
 	// Re-request after service: re-queued with a fresh tc (faithful to
 	// the pseudocode).
 	v.Recv(100, &MsgR{From: 5, Leader: 0})
-	if len(v.queue) != 1 {
+	if len(v.s.list[v.i]) != 1 {
 		t.Fatal("served node not re-queued on re-request")
 	}
 }
@@ -538,11 +584,11 @@ func TestLeaderQueueService(t *testing.T) {
 func TestLeaderBeaconsWhenIdle(t *testing.T) {
 	v := newTestNode(0)
 	v.Start(0)
-	v.class = 0
-	v.becomeColored()
+	v.s.class[v.i] = 0
+	v.s.becomeColored(0, v.i)
 	saw := false
 	for s := 0; s < 200 && !saw; s++ {
-		if msg := v.coloredSend(int64(s)); msg != nil {
+		if msg := v.s.coloredSend(int64(s), v.i); msg != nil {
 			c, ok := msg.(*MsgC)
 			if !ok || c.Class != 0 {
 				t.Fatalf("idle leader sent %v", msg)
@@ -558,8 +604,8 @@ func TestLeaderBeaconsWhenIdle(t *testing.T) {
 func TestColoredNonLeaderAnnounces(t *testing.T) {
 	v := newTestNode(0)
 	v.Start(0)
-	v.class = 9
-	v.becomeColored()
+	v.s.class[v.i] = 9
+	v.s.becomeColored(0, v.i)
 	if v.Color() != 9 || v.IsLeader() {
 		t.Fatal("becomeColored(9) broken")
 	}
@@ -615,18 +661,18 @@ func TestLeaderAssignmentMemory(t *testing.T) {
 	for _, memory := range []bool{false, true} {
 		v := NewNode(0, radio.NodeRand(1, 0), testParams(), Ablation{LeaderAssignmentMemory: memory})
 		v.Start(0)
-		v.class = 0
-		v.becomeColored()
+		v.s.class[v.i] = 0
+		v.s.becomeColored(0, v.i)
 		serve := func(w radio.NodeID) int32 {
 			v.Recv(0, &MsgR{From: w, Leader: 0})
 			var tc int32 = -1
-			for s := int64(0); s < 50*v.par.ServeSlots(); s++ {
-				if msg := v.coloredSend(s); msg != nil {
+			for s := int64(0); s < 50*v.s.par.ServeSlots(); s++ {
+				if msg := v.s.coloredSend(s, v.i); msg != nil {
 					if a, ok := msg.(*MsgAssign); ok && a.To == w {
 						tc = a.TC
 					}
 				}
-				if len(v.queue) == 0 && v.serveLeft == 0 {
+				if len(v.s.list[v.i]) == 0 && v.s.serve[v.i].left == 0 {
 					break
 				}
 			}
@@ -654,9 +700,9 @@ func TestLeaderAssignmentMemoryEndToEnd(t *testing.T) {
 	par := testParams()
 	v := NewNode(0, radio.NodeRand(2, 0), par, Ablation{LeaderAssignmentMemory: true})
 	v.Start(0)
-	v.class = 0
-	v.becomeColored()
-	if v.assigned == nil {
+	v.s.class[v.i] = 0
+	v.s.becomeColored(0, v.i)
+	if v.s.assigned[v.i] == nil {
 		t.Fatal("assignment memory not initialized")
 	}
 }

@@ -98,8 +98,8 @@ func TestFuzzLeaderQueue(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		v := NewNode(0, radio.NodeRand(seed, 0), testParams(), Ablation{})
 		v.Start(0)
-		v.class = 0
-		v.becomeColored()
+		v.s.class[v.i] = 0
+		v.s.becomeColored(0, v.i)
 		lastTC := make(map[radio.NodeID]int32)
 		var maxTC int32
 		for step := int64(0); step < 5000; step++ {
@@ -119,12 +119,12 @@ func TestFuzzLeaderQueue(t *testing.T) {
 				}
 			}
 			// The queue never holds duplicates.
-			seen := make(map[radio.NodeID]bool, len(v.queue))
-			for _, w := range v.queue {
-				if seen[w] {
-					t.Fatalf("seed %d: duplicate %d in queue", seed, w)
+			seen := make(map[radio.NodeID]bool, len(v.s.list[v.i]))
+			for _, c := range v.s.list[v.i] {
+				if seen[c.id] {
+					t.Fatalf("seed %d: duplicate %d in queue", seed, c.id)
 				}
-				seen[w] = true
+				seen[c.id] = true
 			}
 		}
 	}

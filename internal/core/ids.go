@@ -40,18 +40,16 @@ func NodesWithRandomIDs(n int, masterSeed int64, par Params, abl Ablation, idSpa
 	if idSpace < 1 {
 		idSpace = RandomIDSpace(n)
 	}
-	nodes := make([]*Node, n)
-	protos := make([]radio.Protocol, n)
 	ids := make([]radio.NodeID, n)
-	for i := range nodes {
-		rng := radio.NodeRand(masterSeed, radio.NodeID(i))
+	rnd := make([]radio.Rand, n)
+	for i := range ids {
+		rnd[i] = radio.NodeRand(masterSeed, radio.NodeID(i))
 		// Draw the ID from the node's own stream, as the paper's nodes
 		// would upon waking up.
-		ids[i] = radio.NodeID(rng.Int63n(idSpace) + 1)
-		nodes[i] = NewNode(ids[i], rng, par, abl)
-		protos[i] = nodes[i]
+		ids[i] = radio.NodeID(rnd[i].Int63n(idSpace) + 1)
 	}
-	return nodes, protos, ids
+	nodes, protos := newFlat(ids, rnd, par, abl).handles()
+	return nodes, protos, append([]radio.NodeID(nil), ids...)
 }
 
 // CountIDCollisions returns how many nodes share their identifier with

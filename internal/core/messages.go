@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"radiocolor/internal/radio"
 )
@@ -14,20 +15,28 @@ import (
 // cost ⌈log₂((Δ+1)(κ₂+1))⌉ bits.
 
 // bitsFor returns the number of bits needed to express non-negative
-// values up to v.
+// values up to v: the bit length of v, and at least 1.
 func bitsFor(v int64) int {
 	if v <= 1 {
 		return 1
 	}
-	return int(math.Ceil(math.Log2(float64(v + 1))))
+	return bits.Len64(uint64(v))
 }
 
-// idBits is the identifier cost for network-size estimate n.
+// idBits is the identifier cost for network-size estimate n: the least
+// k with 2^k ≥ n³, the bit length of n³−1 computed in 128 bits. n is
+// clamped to [2, 2^31−1], the range of radio.NodeID.
 func idBits(n int) int {
-	if n < 2 {
-		n = 2
+	u := uint64(min(max(n, 2), math.MaxInt32))
+	hi, lo := bits.Mul64(u*u, u)
+	if lo == 0 {
+		hi--
 	}
-	return int(math.Ceil(3 * math.Log2(float64(n))))
+	lo--
+	if hi == 0 {
+		return bits.Len64(lo)
+	}
+	return 64 + bits.Len64(hi)
 }
 
 // MsgA is M_A^i(v, c_v): a node competing in state A_i reports its

@@ -123,7 +123,7 @@ func TestObservePhasesNop(t *testing.T) {
 	ObservePhases(nodes, nil)
 	ObservePhases(nodes, &obs.Collector{})
 	for i, v := range nodes {
-		if v.phaseHook != nil {
+		if v.s.hooks != nil && v.s.hooks[v.i] != nil {
 			t.Errorf("node %d got a hook from an empty collector", i)
 		}
 	}

@@ -14,6 +14,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"radiocolor/internal/rng"
 )
 
 // Params collects the algorithm's four tunable constants (α, β, γ, σ of
@@ -115,13 +117,16 @@ func (p Params) SlotBudget() int64 {
 }
 
 // derived holds the constants a node reads on every tick, computed
-// once by NewNode so that Send and Recv do no floating-point work.
+// once per Flat so that Send and Recv do no floating-point work.
 type derived struct {
 	waitSlots, threshold, serveSlots int64
 	// crit[min(i, 1)] is the critical range of class i: ζ_i takes
 	// only two values, 1 for class 0 and Δ above.
-	crit           [2]int64
-	pSend, pLeader float64
+	crit [2]int64
+	// sendCoin and leaderCoin are PSend and PLeader as integer coin
+	// thresholds (rng.CoinThreshold): the same outcomes as comparing
+	// Float64 draws with the probabilities.
+	sendCoin, leaderCoin uint64
 }
 
 // derive validates p and computes its derived constants.
@@ -146,8 +151,8 @@ func (p Params) derive() (derived, error) {
 		threshold:  p.Threshold(),
 		serveSlots: p.ServeSlots(),
 		crit:       [2]int64{p.CriticalRange(0), p.CriticalRange(1)},
-		pSend:      p.PSend(),
-		pLeader:    p.PLeader(),
+		sendCoin:   rng.CoinThreshold(p.PSend()),
+		leaderCoin: rng.CoinThreshold(p.PLeader()),
 	}
 	for _, s := range [...]int64{d.waitSlots, d.threshold, d.serveSlots, d.crit[0], d.crit[1]} {
 		if s == 0 {

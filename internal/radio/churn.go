@@ -123,8 +123,7 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 	if cs.next >= len(cs.plan.Batches) || cs.plan.Batches[cs.next].Slot > t {
 		return
 	}
-	e.rejoinU = e.rejoinU[:0]
-	e.rejoinA = e.rejoinA[:0]
+	e.rejoin = e.rejoin[:0]
 	for cs.next < len(cs.plan.Batches) && cs.plan.Batches[cs.next].Slot == t {
 		b := &cs.plan.Batches[cs.next]
 		cs.next++
@@ -191,20 +190,15 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 			if met != nil {
 				met.AddWakeup()
 			}
-			e.cfg.Protocols[v].Start(t)
-			needUndecided := !wasWoke
+			e.b.Start(t, v)
 			if e.decided[v] {
 				// The rejoiner's old color died with its state.
 				e.decided[v] = false
 				e.numDone--
 				e.res.DecideSlot[v] = -1
-				needUndecided = true
-			}
-			if needUndecided {
-				e.rejoinU = append(e.rejoinU, v)
 			}
 			if !wasWoke {
-				e.rejoinA = append(e.rejoinA, v)
+				e.rejoin = append(e.rejoin, v)
 			}
 		}
 
@@ -236,24 +230,17 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 			}
 		}
 	}
-	if len(e.rejoinU) > 0 {
-		sortInt32s(e.rejoinU)
-		e.undecided = mergeSorted(e.undecided, e.rejoinU)
-	}
-	if len(e.rejoinA) > 0 {
-		// The pending list is sorted at flush time (untiled) or per-slot
-		// suffix merge (tiled), so insertion order is free.
-		e.pending = append(e.pending, e.rejoinA...)
-	}
+	// The pending list is sorted at flush time (untiled) or per-slot
+	// suffix merge (tiled), so insertion order is free.
+	e.pending = append(e.pending, e.rejoin...)
 }
 
 // retract undoes node v's decision: protocol state clears and the node
 // re-contends from its own Start path. The node stayed awake and in
-// the activity lists throughout, so only the undecided list needs a
-// re-insert.
+// the activity lists throughout; its next decision is reported afresh.
 func (e *Engine) retract(t int64, v int32, met *obs.Metrics) {
 	e.cfg.Protocols[v].(Restartable).Reset()
-	e.cfg.Protocols[v].Start(t)
+	e.b.Start(t, v)
 	e.decided[v] = false
 	e.numDone--
 	e.res.DecideSlot[v] = -1
@@ -261,7 +248,6 @@ func (e *Engine) retract(t int64, v int32, met *obs.Metrics) {
 	if met != nil {
 		met.AddConflictRepaired()
 	}
-	e.rejoinU = append(e.rejoinU, v)
 }
 
 // leftList appends the currently absent nodes to dst in ascending

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,6 +20,11 @@ type Config struct {
 	// G is the communication graph (required).
 	G *graph.Graph
 	// Protocols holds one Protocol per node (required, len == G.N()).
+	// When the entries are the handles of one Batch in index order
+	// (see Member; core.Nodes builds such a slice) the slot loops drive
+	// that Batch directly, one call per activity list and phase; any
+	// other slice runs through a per-node adapter, with identical
+	// results.
 	Protocols []Protocol
 	// Wake holds each node's wake-up slot (required, len == G.N(),
 	// non-negative). Generate with the schedules in wakeup.go.
@@ -110,15 +116,18 @@ type Config struct {
 //
 // The slot loop works on the graph's CSR view (one flat edge array plus
 // offsets) and is zero-alloc in steady state: per-slot scratch is
-// kept valid by standing sentinels rather than cleared, transmissions and undecided nodes
-// are tracked in compact lists so no phase scans all n nodes, and a
-// transmitter's whole neighborhood is one contiguous read. The original
+// kept valid by standing sentinels rather than cleared, awake nodes and
+// transmissions are tracked in compact lists so no phase scans all n
+// nodes, the protocols are driven through one Batch call per list, which
+// reports decisions itself, and a transmitter's whole neighborhood is
+// one contiguous read. The original
 // slice-chasing slot loop is retained verbatim as the reference engine
 // (reference.go); differential tests pin this kernel to it bit-for-bit.
 type Engine struct {
 	cfg     Config
 	n       int
 	slot    int64
+	b       Batch // drives cfg.Protocols (batchOf)
 	awake   []bool
 	out     []Message
 	order   []int32 // node ids sorted by wake slot
@@ -145,12 +154,12 @@ type Engine struct {
 	// walk the prefetcher can follow, while wake-order iteration is a
 	// random permutation that stalls on every node at large n. tx holds
 	// this slot's transmitters; awakeList every awake node (newly woken
-	// ids are merged in, staying sorted); undecided the awake nodes that
-	// have not decided, compacted stably in place as decisions land.
+	// ids are merged in, staying sorted); dec the nodes the Batch
+	// reported deciding this slot.
 	tx        []int32
 	awakeList []int32
 	pending   []int32 // recently woken, not yet merged into awakeList
-	undecided []int32
+	dec       []int32
 
 	// Per-slot receive scratch. The between-slot invariant: count == 0
 	// for awake listeners, count == asleepCount for asleep nodes (set at
@@ -167,6 +176,7 @@ type Engine struct {
 
 	// Parallel-phase scratch, allocated on first use when Workers > 1.
 	scratch []resolveScratch
+	lists   []workerLists
 
 	// Fault-injection state; nil unless Config.Faults is set (fault.go).
 	fs *faultState
@@ -185,12 +195,10 @@ type Engine struct {
 	// rejoin knows whether the node must be re-inserted or is merely
 	// reactivated in place. Allocated with off.
 	everWoke []bool
-	// rejoinU and rejoinA are slot-prologue scratch shared by the fault
-	// and churn seams (both run sequentially, each flushing before the
-	// other starts): re-inserts into undecided, and re-inserts into the
-	// awake lists.
-	rejoinU []int32
-	rejoinA []int32
+	// rejoin is slot-prologue scratch shared by the fault and churn
+	// seams (both run sequentially, each flushing before the other
+	// starts): re-inserts into the awake lists.
+	rejoin []int32
 
 	// Tiled-kernel state; nil unless Config.Tiles > 1 selected the tiled
 	// slot loop (tiled.go). silent marks nodes whose protocols declared
@@ -199,6 +207,9 @@ type Engine struct {
 	ts          *tileState
 	silent      []bool
 	silentCount int
+	// skip is the Send phase's exclusion filter: off, or silent on a
+	// tiled run that has it (the two never coexist).
+	skip []bool
 	// pendingSorted is the length of pending's known-sorted prefix and
 	// pendScratch the merge buffer; both are tiled-loop-only (the
 	// untiled loop sorts pending once, at flush time).
@@ -236,6 +247,12 @@ const asleepCount = -1 << 30
 // outbox check; the per-slot tx sweep restores the entries to 0.
 const txMarker = -1 << 28
 
+// workerLists is one worker's private transmitter and decision lists
+// for the parallel Send phase, kept across slots.
+type workerLists struct {
+	tx, dec []int32
+}
+
 // resolveScratch is one worker's private accumulator for the parallel
 // resolve phase.
 type resolveScratch struct {
@@ -267,9 +284,9 @@ func newEngine(cfg Config, allowSkew bool) (*Engine, error) {
 		rowEnd:    csr.Offsets[1:],
 		edges:     csr.Edges,
 		awakeList: make([]int32, 0, n),
-		undecided: make([]int32, 0, n),
 		rs:        make([]recvSlot, n),
 	}
+	e.b = batchOf(cfg.Protocols)
 	for i := range e.rs {
 		e.rs[i].count = asleepCount // everyone starts asleep
 	}
@@ -331,6 +348,10 @@ func newEngine(cfg Config, allowSkew bool) (*Engine, error) {
 			// node).
 			e.silent = make([]bool, n)
 		}
+	}
+	e.skip = e.off
+	if e.silent != nil {
+		e.skip = e.silent
 	}
 	return e, nil
 }
@@ -409,48 +430,31 @@ func (e *Engine) Step() bool {
 	t := e.slot
 	ob := e.cfg.Observer
 	met := e.cfg.Metrics
-	protos, off := e.cfg.Protocols, e.off
 
 	e.wakePhase(t, ob, met)
-	// A traced run flushes every slot so OnTransmit events keep the
-	// reference's ascending-id order; so does the parallel path, whose
-	// workers partition one list, and the medium path, which needs the
-	// transmitter list in ascending order so float accumulation (SINR)
-	// is bit-identical at any worker count.
-	if len(e.pending) > 0 &&
-		(e.cfg.Workers > 1 || ob != nil || e.med != nil ||
-			len(e.pending) >= 256 && len(e.pending)*8 >= len(e.awakeList)) {
-		sortInt32s(e.pending)
-		e.awakeList = mergeSorted(e.awakeList, e.pending)
-		e.pending = e.pending[:0]
-	}
+	// A traced run flushes every slot so OnTransmit and OnDecide events
+	// keep the reference's ascending-id order; so does the parallel
+	// path, whose workers partition one list, and the medium path, which
+	// needs the transmitter list in ascending order so float
+	// accumulation (SINR) is bit-identical at any worker count.
+	e.flushPending(e.cfg.Workers > 1 || ob != nil || e.med != nil)
 
-	// Send phase: every awake node ticks and chooses transmit/listen.
-	// Iterating the sorted awake list touches exactly the awake nodes in
-	// ascending order; protocols are independent state machines, so call
-	// order within a slot cannot influence results. Transmission
-	// bookkeeping (counters, max message size, events) is order-free and
-	// fused into the same sweep. Crashed and absent nodes stay in the
-	// lists (they may restart or rejoin); the off filter skips them.
+	// Send phase: one batch call per activity list ticks every awake
+	// node in ascending order and collects the transmitters and this
+	// slot's decisions. Protocols are independent state machines, so
+	// call order within a slot cannot influence results. Crashed and
+	// absent nodes stay in the lists (they may restart or rejoin); the
+	// off filter skips them. Transmission bookkeeping (counters, max
+	// message size, events) is order-free.
 	if e.cfg.Workers > 1 {
-		e.parallelSend(t, e.awakeList)
-		for _, v := range e.tx {
-			e.noteTx(t, v, e.out[v], ob, met)
-		}
+		e.parallelSend(t)
 	} else {
-		for _, ids := range [2][]int32{e.awakeList, e.pending} {
-			for _, i := range ids {
-				if off != nil && off[i] {
-					continue
-				}
-				if msg := protos[i].Send(t); msg != nil {
-					e.out[i] = msg
-					e.rs[i].count = txMarker
-					e.tx = append(e.tx, i)
-					e.noteTx(t, i, msg, ob, met)
-				}
-			}
-		}
+		e.tx, e.dec = e.b.Send(t, e.awakeList, e.skip, e.out, e.tx, e.dec)
+		e.tx, e.dec = e.b.Send(t, e.pending, e.skip, e.out, e.tx, e.dec)
+	}
+	for _, v := range e.tx {
+		e.rs[v].count = txMarker
+		e.noteTx(t, v, e.out[v], ob, met)
 	}
 
 	// Resolve phase: accumulate per-receiver transmitting-neighbor counts
@@ -492,7 +496,7 @@ func (e *Engine) Step() bool {
 	} else {
 		var tl deliverTally
 		for _, u := range e.touched {
-			e.deliverOne(t, u, &tl, ob, met, nil, protos)
+			e.deliverOne(t, u, &tl, ob, met, nil)
 		}
 		tl.addTo(&e.res)
 	}
@@ -503,29 +507,43 @@ func (e *Engine) Step() bool {
 	}
 	e.tx = e.tx[:0]
 
-	// Decision detection over the compact undecided list. Crashed and
-	// absent nodes stay in the list (they may restart or rejoin) without
-	// being polled.
-	w := 0
-	for _, i := range e.undecided {
-		if (off == nil || !off[i]) && protos[i].Done() {
-			e.decided[i] = true
-			e.numDone++
-			e.res.DecideSlot[i] = t
-			if ob != nil {
-				ob.OnDecide(t, NodeID(i))
-			}
-			if met != nil {
-				met.AddDecision()
-			}
-		} else {
-			e.undecided[w] = i
-			w++
-		}
-	}
-	e.undecided = e.undecided[:w]
+	e.dec = e.b.Settle(e.off, e.dec)
+	decisions, _ := e.decide(t, e.dec, ob, met)
+	e.numDone += int(decisions)
+	e.dec = e.dec[:0]
 
 	return e.finishSlot(t, ob, met)
+}
+
+// decide records the decisions the Batch reported in slot t and
+// returns how many it recorded and how many of those nodes fell
+// permanently silent (tiled runs only). On a traced run OnDecide fires
+// in ascending node order, as in the reference engine, so dec is
+// sorted then if the Send and Settle reports interleave. Every write is
+// to the reported nodes' own entries, so tiles may call it
+// concurrently.
+func (e *Engine) decide(t int64, dec []int32, ob Observer, met *obs.Metrics) (decisions, silenced int64) {
+	if ob != nil && !ascending32(dec) {
+		slices.Sort(dec)
+	}
+	for _, v := range dec {
+		e.decided[v] = true
+		e.res.DecideSlot[v] = t
+		decisions++
+		if ob != nil {
+			ob.OnDecide(t, NodeID(v))
+		}
+		if met != nil {
+			met.AddDecision()
+		}
+		if e.silent != nil {
+			if q, ok := e.cfg.Protocols[v].(Quiescent); ok && q.Quiescent() {
+				e.silent[v] = true
+				silenced++
+			}
+		}
+	}
+	return decisions, silenced
 }
 
 // wakePhase applies the slot's fault events and wake-ups: the shared
@@ -567,19 +585,30 @@ func (e *Engine) wakePhase(t int64, ob Observer, met *obs.Metrics) {
 		if met != nil {
 			met.AddWakeup()
 		}
-		e.cfg.Protocols[id].Start(t)
+		e.b.Start(t, id)
 		e.order[w] = id
 		w++
 	}
 	if w > prevNext {
 		woken := e.order[prevNext:w]
-		e.undecided = mergeSorted(e.undecided, woken)
 		// Newly woken ids go to a small pending list first; merging the
 		// whole awake list every slot of a long wake ramp would cost
 		// O(awake) per slot. The pending list is flushed once it exceeds
 		// an eighth of the merged list, so total merge work stays O(n)
 		// over any ramp while Send still walks mostly-ascending ids.
 		e.pending = append(e.pending, woken...)
+	}
+}
+
+// flushPending merges the pending wake-ups into the awake list when
+// force is set or the pending list has outgrown an eighth of it: the
+// untiled loops' merge policy (wakePhase explains the pending list).
+func (e *Engine) flushPending(force bool) {
+	if len(e.pending) > 0 &&
+		(force || len(e.pending) >= 256 && len(e.pending)*8 >= len(e.awakeList)) {
+		slices.Sort(e.pending)
+		e.awakeList = mergeSorted(e.awakeList, e.pending)
+		e.pending = e.pending[:0]
 	}
 }
 
@@ -640,13 +669,6 @@ func (e *Engine) noteTx(t int64, v int32, msg Message, ob Observer, met *obs.Met
 	}
 }
 
-// sortInt32s sorts ids ascending. Used on the pending wake list, which
-// is a concatenation of already-ascending per-slot blocks, just before
-// it is merged into the main awake list.
-func sortInt32s(ids []int32) {
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-}
-
 // ascending32 reports whether ids is already sorted ascending — true
 // for every wake block, so the tiled loop's incremental pending merge
 // only pays for a sort when fault restarts interleaved with wakes.
@@ -701,35 +723,27 @@ func workerRanges(n, workers int) [][2]int {
 	return out
 }
 
-// parallelSend runs the Send phase over the awake nodes on Workers
-// goroutines. Each worker appends its transmitters to a private list;
-// the lists are concatenated in worker order, so tx is deterministic.
-func (e *Engine) parallelSend(t int64, awakeIDs []int32) {
-	off := e.off
-	ranges := workerRanges(len(awakeIDs), e.cfg.Workers)
-	txLocal := make([][]int32, len(ranges))
+// parallelSend runs the Send phase over the awake list on Workers
+// goroutines, one batch call per contiguous range. Each worker fills
+// private lists; they are concatenated in worker order, so tx and dec
+// stay ascending.
+func (e *Engine) parallelSend(t int64) {
+	ranges := workerRanges(len(e.awakeList), e.cfg.Workers)
+	for len(e.lists) < len(ranges) {
+		e.lists = append(e.lists, workerLists{})
+	}
 	var wg sync.WaitGroup
 	for w, r := range ranges {
 		wg.Add(1)
-		go func(w int, ids []int32) {
+		go func(wl *workerLists, ids []int32) {
 			defer wg.Done()
-			var local []int32
-			for _, i := range ids {
-				if off != nil && off[i] {
-					continue
-				}
-				if msg := e.cfg.Protocols[i].Send(t); msg != nil {
-					e.out[i] = msg
-					e.rs[i].count = txMarker // workers own disjoint ids
-					local = append(local, i)
-				}
-			}
-			txLocal[w] = local
-		}(w, awakeIDs[r[0]:r[1]])
+			wl.tx, wl.dec = e.b.Send(t, ids, e.skip, e.out, wl.tx[:0], wl.dec[:0])
+		}(&e.lists[w], e.awakeList[r[0]:r[1]])
 	}
 	wg.Wait()
-	for _, local := range txLocal {
-		e.tx = append(e.tx, local...)
+	for w := range ranges {
+		e.tx = append(e.tx, e.lists[w].tx...)
+		e.dec = append(e.dec, e.lists[w].dec...)
 	}
 }
 
@@ -854,7 +868,6 @@ func (tl *deliverTally) addTo(res *Result) {
 // the sequential path so its event stream stays fully ordered.
 func (e *Engine) parallelDeliver(t int64) {
 	met := e.cfg.Metrics
-	protos := e.cfg.Protocols
 	ranges := workerRanges(len(e.touched), e.cfg.Workers)
 	tallies := make([]deliverTally, len(ranges))
 	var wg sync.WaitGroup
@@ -864,7 +877,7 @@ func (e *Engine) parallelDeliver(t int64) {
 			defer wg.Done()
 			var tl deliverTally // local, so workers share no cache line
 			for _, u := range us {
-				e.deliverOne(t, u, &tl, nil, met, nil, protos)
+				e.deliverOne(t, u, &tl, nil, met, nil)
 			}
 			tallies[w] = tl
 		}(w, e.touched[r[0]:r[1]])

@@ -72,8 +72,7 @@ func (e *Engine) faultBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 	if fs.next >= len(fs.events) || fs.events[fs.next].Slot > t {
 		return
 	}
-	e.rejoinU = e.rejoinU[:0]
-	e.rejoinA = e.rejoinA[:0]
+	e.rejoin = e.rejoin[:0]
 	for fs.next < len(fs.events) && fs.events[fs.next].Slot == t {
 		ev := fs.events[fs.next]
 		fs.next++
@@ -123,30 +122,19 @@ func (e *Engine) faultBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 		if met != nil {
 			met.AddWakeup()
 		}
-		e.cfg.Protocols[v].Start(t)
-		needUndecided := !wasWoke
+		e.b.Start(t, v)
 		if e.decided[v] {
 			e.decided[v] = false
 			e.numDone--
 			e.res.DecideSlot[v] = -1
-			needUndecided = true
-		}
-		if needUndecided {
-			e.rejoinU = append(e.rejoinU, v)
 		}
 		if !wasWoke {
-			e.rejoinA = append(e.rejoinA, v)
+			e.rejoin = append(e.rejoin, v)
 		}
 	}
-	if len(e.rejoinU) > 0 {
-		sortInt32s(e.rejoinU)
-		e.undecided = mergeSorted(e.undecided, e.rejoinU)
-	}
-	if len(e.rejoinA) > 0 {
-		// The pending list is sorted at flush time, so insertion order
-		// is free.
-		e.pending = append(e.pending, e.rejoinA...)
-	}
+	// The pending list is sorted at flush time, so insertion order is
+	// free.
+	e.pending = append(e.pending, e.rejoin...)
 }
 
 // Reception-suppression classes, ordered by precedence: the adversary

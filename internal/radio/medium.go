@@ -48,6 +48,6 @@ func (e *Engine) mediumResolveDeliver(t int64, ob Observer, met *obs.Metrics) {
 		if met != nil {
 			met.AddDelivery()
 		}
-		e.cfg.Protocols[r.To].Recv(t, msg)
+		e.b.Recv(t, r.To, msg)
 	}
 }

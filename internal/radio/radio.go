@@ -52,7 +52,10 @@ type Message interface {
 // Protocol is the behavior of a single node. The engine drives each
 // awake node through one Send and (if it listened) one Recv call per
 // slot. Implementations own all their state; the engine guarantees that
-// calls to a single node's methods are never concurrent.
+// calls to a single node's methods are never concurrent. A population
+// whose nodes share flat state can instead expose a Batch through its
+// per-node handles (Member), which the engine then drives one call per
+// activity list; the per-node methods stay the contract either way.
 type Protocol interface {
 	// Start is invoked once, in the slot the node wakes up, before the
 	// node's first Send of that slot.
@@ -78,7 +81,9 @@ type Protocol interface {
 	// Done reports whether the node has made its irrevocable final
 	// decision. Done nodes keep being scheduled (e.g. leaders continue
 	// beaconing); Done only feeds termination detection and the
-	// per-node time complexity T_v.
+	// per-node time complexity T_v. A node decides in the slot of the
+	// Send or Recv call after which Done first reads true; the engine
+	// asks only while the node is undecided.
 	Done() bool
 }
 

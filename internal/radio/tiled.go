@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,15 +15,16 @@ import (
 // partitions node ids into contiguous blocks ("tiles", ~32k nodes) and
 // makes two tile-major sweeps instead:
 //
-//	sweep 1, per tile: Send every awake node of the tile, then resolve
+//	sweep 1, per tile: Send every awake node of the tile (one batch call
+//	  per list segment), then resolve
 //	  each transmitter's intra-tile neighbors against the tile's own
 //	  receive accumulators; neighbors outside the tile are bucketed as
 //	  (receiver, sender) pairs into a per-(source,destination) exchange
 //	  bucket instead of touching remote accumulators.
 //	sweep 2, per tile: fold the tile's incoming exchange buckets (the
 //	  boundary exchange — only cross-tile edges enter this merge), then
-//	  deliver to the tile's touched listeners and run decision
-//	  detection over the tile's undecided segment.
+//	  deliver to the tile's touched listeners and record the decisions
+//	  the tile's batch calls reported.
 //
 // After a locality-preserving relabeling (internal/graph HilbertOrder /
 // StripOrder / BFSOrder) almost all edges are intra-tile, so one tile's
@@ -124,20 +126,17 @@ type tileState struct {
 	// s to destination tile d; only cross-tile edges enter it.
 	cross [][]crossRef
 
-	// Per-tile sweep outputs: this slot's transmitters and touched
-	// listeners, and the counter tallies folded after sweep 2.
+	// Per-tile sweep outputs: this slot's transmitters, touched
+	// listeners and reported decisions, and the counter tallies folded
+	// after sweep 2.
 	txs     [][]int32
 	touched [][]int32
+	dec     [][]int32
 	tallies []tileTally
 
 	// Per-slot segment bounds of the shared activity lists: tile k owns
-	// awakeList[aSeg[k]:aSeg[k+1]], pending[pSeg[k]:pSeg[k+1]] and
-	// undecided[uSeg[k]:uSeg[k+1]]. uLen1[k] is the segment length
-	// surviving sweep 1's interior decision pass, uLen[k] the final
-	// length after sweep 2's boundary pass, used by the sequential
-	// squash that re-compacts the list.
-	aSeg, pSeg, uSeg []int
-	uLen1, uLen      []int
+	// awakeList[aSeg[k]:aSeg[k+1]] and pending[pSeg[k]:pSeg[k+1]].
+	aSeg, pSeg []int
 }
 
 // newTileState precomputes the partition for a run: tile bounds and
@@ -157,12 +156,10 @@ func newTileState(tiles, n int, rowStart, rowEnd, edges []int32) *tileState {
 		cross:    make([][]crossRef, tiles*tiles),
 		txs:      make([][]int32, tiles),
 		touched:  make([][]int32, tiles),
+		dec:      make([][]int32, tiles),
 		tallies:  make([]tileTally, tiles),
 		aSeg:     make([]int, tiles+1),
 		pSeg:     make([]int, tiles+1),
-		uSeg:     make([]int, tiles+1),
-		uLen1:    make([]int, tiles),
-		uLen:     make([]int, tiles),
 	}
 	for v := 0; v < n; v++ {
 		lo, hi := rowStart[v], rowEnd[v]
@@ -253,7 +250,7 @@ func (e *Engine) stepTiled() bool {
 		if e.pendingSorted < len(e.pending) {
 			suffix := e.pending[e.pendingSorted:]
 			if !ascending32(suffix) {
-				sortInt32s(suffix)
+				slices.Sort(suffix)
 			}
 			if e.pendingSorted > 0 {
 				e.pendScratch = append(e.pendScratch[:0], suffix...)
@@ -287,7 +284,6 @@ func (e *Engine) stepTiled() bool {
 
 	ts.segment(e.awakeList, ts.aSeg)
 	ts.segment(e.pending, ts.pSeg)
-	ts.segment(e.undecided, ts.uSeg)
 
 	// Sweep 1: Send + intra-tile resolve + boundary bucketing.
 	workers := e.cfg.Workers
@@ -342,16 +338,14 @@ func (e *Engine) stepTiled() bool {
 		e.silentCount += int(tl.silenced)
 		*tl = tileTally{}
 	}
-
-	// Squash the per-tile undecided survivors back into one compact
-	// list. Tile k's survivors sit at [uSeg[k], uSeg[k]+uLen[k]); the
-	// forward copy is safe because the write cursor never passes a
-	// tile's own segment start.
-	w := ts.uLen[0]
-	for k := 1; k < ts.tiles; k++ {
-		w += copy(e.undecided[w:], e.undecided[ts.uSeg[k]:ts.uSeg[k]+ts.uLen[k]])
+	// Decisions a batch leaves to Settle (the per-node adapter's) land
+	// here, once every tile's receptions are in.
+	if e.dec = e.b.Settle(e.off, e.dec); len(e.dec) > 0 {
+		d, q := e.decide(t, e.dec, ob, met)
+		e.numDone += int(d)
+		e.silentCount += int(q)
+		e.dec = e.dec[:0]
 	}
-	e.undecided = e.undecided[:w]
 
 	// Transmitter cleanup, identical to the untiled loop. Runs after
 	// both sweeps because a remote tile's deliver reads e.out[from]
@@ -397,42 +391,26 @@ func (e *Engine) parallelTiles(workers int, t int64, fn func(*Engine, int, int64
 // resolve each transmitter's intra-tile neighbors against the tile's
 // own accumulators, and bucket cross-tile neighbors for sweep 2. It
 // writes only tile-k-owned state (the tile's protocols and outboxes,
-// rs entries of tile-k nodes, the k-th tx/touched lists and the k-th
-// bucket row), so tiles are safe to run concurrently.
+// rs entries of tile-k nodes, the k-th tx/touched/dec lists and the
+// k-th bucket row), so tiles are safe to run concurrently.
 func (e *Engine) tileSendResolve(k int, t int64) {
 	ts := e.ts
-	protos := e.cfg.Protocols
-	off := e.off
-	sil := e.silent
-
 	tl := &ts.tallies[k]
+	txs, dec := ts.txs[k][:0], ts.dec[k][:0]
+	// Permanently silent (Quiescent) nodes are skipped: Send would
+	// return nil.
+	txs, dec = e.b.Send(t, e.awakeList[ts.aSeg[k]:ts.aSeg[k+1]], e.skip, e.out, txs, dec)
+	txs, dec = e.b.Send(t, e.pending[ts.pSeg[k]:ts.pSeg[k+1]], e.skip, e.out, txs, dec)
+	// Counter bookkeeping on tile-owned state; the count sum and max
+	// fold after sweep 2, and the OnTransmit/metrics seams run in a
+	// sequential pass.
 	nEst := e.cfg.NEstimate
 	perNodeTx := e.res.PerNodeTx
-	txs := ts.txs[k][:0]
-	lists := [2][]int32{
-		e.awakeList[ts.aSeg[k]:ts.aSeg[k+1]],
-		e.pending[ts.pSeg[k]:ts.pSeg[k+1]],
-	}
-	for _, ids := range lists {
-		for _, i := range ids {
-			if off != nil && off[i] {
-				continue
-			}
-			if sil != nil && sil[i] {
-				continue // permanently silent (Quiescent): Send would return nil
-			}
-			if msg := protos[i].Send(t); msg != nil {
-				e.out[i] = msg
-				e.rs[i].count = txMarker
-				txs = append(txs, i)
-				// Counter bookkeeping, fused here on tile-owned state;
-				// the count sum and max fold after sweep 2, and the
-				// OnTransmit/metrics seams run in a sequential pass.
-				perNodeTx[i]++
-				if bits := msg.Bits(nEst); bits > tl.maxBits {
-					tl.maxBits = bits
-				}
-			}
+	for _, i := range txs {
+		e.rs[i].count = txMarker
+		perNodeTx[i]++
+		if bits := e.out[i].Bits(nEst); bits > tl.maxBits {
+			tl.maxBits = bits
 		}
 	}
 	ts.txs[k] = txs
@@ -471,66 +449,38 @@ func (e *Engine) tileSendResolve(k int, t int64) {
 	// Interior fusion (untraced runs only, to preserve event order for
 	// observers): an interior listener's accumulator can never be
 	// reached by a boundary bucket, so its receive state is already
-	// final — deliver it and poll its decision now, while the tile's
-	// accumulators and protocol state are cache-hot from the resolve
-	// loop, instead of re-streaming them in sweep 2. Every touched
-	// state (rs, protos, sil, decided, DecideSlot, the tile's tally and
-	// undecided segment) is tile-owned, so the pass is safe under
-	// Workers > 1. Boundary listeners and non-interior undecided nodes
-	// are deferred to sweep 2 untouched.
+	// final — deliver it now, while the tile's accumulators and protocol
+	// state are cache-hot from the resolve loop, instead of re-streaming
+	// them in sweep 2. Every touched state is tile-owned, so the pass is
+	// safe under Workers > 1. Boundary listeners are deferred to sweep 2
+	// untouched.
 	if e.cfg.Observer == nil {
-		met := e.cfg.Metrics
 		interior := ts.interior
 		w := 0
 		for _, u := range touched {
 			if interior[u] {
-				e.deliverOne(t, u, &tl.deliverTally, nil, met, sil, protos)
+				e.deliverOne(t, u, &tl.deliverTally, nil, e.cfg.Metrics, e.silent)
 			} else {
 				touched[w] = u
 				w++
 			}
 		}
 		touched = touched[:w]
-
-		lo, hi := ts.uSeg[k], ts.uSeg[k+1]
-		wr := lo
-		for _, i := range e.undecided[lo:hi] {
-			if interior[i] && (off == nil || !off[i]) && protos[i].Done() {
-				e.decided[i] = true
-				tl.decisions++
-				e.res.DecideSlot[i] = t
-				if met != nil {
-					met.AddDecision()
-				}
-				if sil != nil {
-					if q, ok := protos[i].(Quiescent); ok && q.Quiescent() {
-						sil[i] = true
-						tl.silenced++
-					}
-				}
-			} else {
-				e.undecided[wr] = i
-				wr++
-			}
-		}
-		ts.uLen1[k] = wr - lo
-	} else {
-		ts.uLen1[k] = ts.uSeg[k+1] - ts.uSeg[k]
 	}
 	ts.touched[k] = touched
+	ts.dec[k] = dec
 }
 
 // tileDeliverDecide is sweep 2 for tile k: fold the incoming boundary
 // buckets (ascending source tile, though any order would merge to the
 // same state — counts add, senders min), deliver to the tile's touched
-// listeners, and run decision detection over the tile's undecided
-// segment. Again only tile-k-owned state is written.
+// listeners, and record the decisions the tile's calls reported. Again
+// only tile-k-owned state is written.
 func (e *Engine) tileDeliverDecide(k int, t int64) {
 	ts := e.ts
 	tl := &ts.tallies[k]
 	ob := e.cfg.Observer // non-nil only on the sequential path
 	met := e.cfg.Metrics
-	protos := e.cfg.Protocols
 	tiles := ts.tiles
 	touched := ts.touched[k]
 
@@ -560,51 +510,15 @@ func (e *Engine) tileDeliverDecide(k int, t int64) {
 	// in the untiled deliver phase. On untraced runs sweep 1 already
 	// delivered the tile's interior listeners, so this walks only the
 	// boundary ring plus bucket-fold touches.
-	sil := e.silent
 	for _, u := range touched {
-		e.deliverOne(t, u, &tl.deliverTally, ob, met, sil, protos)
+		e.deliverOne(t, u, &tl.deliverTally, ob, met, e.silent)
 	}
 	ts.touched[k] = touched[:0]
 
-	// Decide over the tile's remaining undecided segment, compacting
-	// survivors in place; the sequential squash in stepTiled stitches
-	// the segments. When sweep 1 ran the fused interior pass, interior
-	// survivors are carried through without a second Done poll (a
-	// protocol must see exactly one poll per slot, like untiled).
-	off := e.off
-	fused := ob == nil
-	interior := ts.interior
-	lo := ts.uSeg[k]
-	hi := lo + ts.uLen1[k]
-	w := lo
-	for _, i := range e.undecided[lo:hi] {
-		if fused && interior[i] {
-			e.undecided[w] = i
-			w++
-			continue
-		}
-		if (off == nil || !off[i]) && protos[i].Done() {
-			e.decided[i] = true
-			tl.decisions++
-			e.res.DecideSlot[i] = t
-			if ob != nil {
-				ob.OnDecide(t, NodeID(i))
-			}
-			if met != nil {
-				met.AddDecision()
-			}
-			if sil != nil {
-				if q, ok := protos[i].(Quiescent); ok && q.Quiescent() {
-					sil[i] = true
-					tl.silenced++
-				}
-			}
-		} else {
-			e.undecided[w] = i
-			w++
-		}
-	}
-	ts.uLen[k] = w - lo
+	d, q := e.decide(t, ts.dec[k], ob, met)
+	tl.decisions += d
+	tl.silenced += q
+	ts.dec[k] = ts.dec[k][:0]
 }
 
 // deliverOne finishes one touched listener for slot t: read-and-clear
@@ -615,7 +529,7 @@ func (e *Engine) tileDeliverDecide(k int, t int64) {
 // sequential and parallel deliver phases and by both tiled sweeps; ob
 // is nil on the parallel and fused-interior callers (both run
 // untraced).
-func (e *Engine) deliverOne(t int64, u int32, tl *deliverTally, ob Observer, met *obs.Metrics, sil []bool, protos []Protocol) {
+func (e *Engine) deliverOne(t int64, u int32, tl *deliverTally, ob Observer, met *obs.Metrics, sil []bool) {
 	r := &e.rs[u]
 	count, from := r.count, r.from
 	r.count = 0
@@ -644,6 +558,6 @@ func (e *Engine) deliverOne(t int64, u int32, tl *deliverTally, ob Observer, met
 		// A quiescent node's behavior no longer depends on
 		// receptions, so the Recv call is skipped; the delivery
 		// itself is counted above exactly as untiled.
-		protos[u].Recv(t, msg)
+		e.b.Recv(t, u, msg)
 	}
 }

@@ -82,8 +82,8 @@ func RunUnalignedContext(ctx context.Context, cfg Config, offsets []int8) (*Resu
 	return e.Result(), nil
 }
 
-// txRec is one in-flight transmission: initiated in slot "slot" by
-// "node", occupying half-slots h0 and h0+1.
+// txRec is one in-flight transmission: initiated by "node", occupying
+// half-slots h0 and h0+1.
 type txRec struct {
 	node NodeID
 	msg  Message
@@ -99,7 +99,9 @@ type unaligned struct {
 	occ    [][8]int16
 	selfTx [][8]bool
 
-	prev []txRec // transmissions initiated in the previous slot
+	// prev holds the transmissions initiated in the previous slot, cur
+	// this slot's; the two buffers swap every slot.
+	prev, cur []txRec
 
 	// collAt[w] is 1 + the last slot a collision was counted at w, so a
 	// listener that several overlapping transmissions reach counts one
@@ -129,30 +131,14 @@ func (u *unaligned) step() bool {
 	ob := e.cfg.Observer
 	met := e.cfg.Metrics
 
-	// Fault events first, then wake-ups. Crashed nodes clear e.awake,
-	// which every sweep below already consults, so the crash/restart
-	// machinery is shared with the aligned kernel.
-	if e.fs != nil {
-		e.faultBeginSlot(t, ob, met)
-	}
-	for e.next < e.n && e.cfg.Wake[e.order[e.next]] == t {
-		id := e.order[e.next]
-		e.next++
-		if e.off != nil && e.off[id] {
-			continue // fail-stopped before waking; restart handles rejoin
-		}
-		e.awake[id] = true
-		if e.everWoke != nil {
-			e.everWoke[id] = true
-		}
-		if ob != nil {
-			ob.OnWake(t, NodeID(id))
-		}
-		if met != nil {
-			met.AddWakeup()
-		}
-		e.cfg.Protocols[id].Start(t)
-	}
+	// Fault events first, then wake-ups, shared with the aligned
+	// kernel. Crashed nodes clear e.awake, which the resolve sweep
+	// consults, and sit in the off filter the Send calls skip.
+	e.wakePhase(t, ob, met)
+	// A traced run keeps OnTransmit (and so OnDeliver) in ascending
+	// order; untraced, the order of the two lists is immaterial,
+	// because each listener hears at most one transmission per slot.
+	e.flushPending(ob != nil)
 
 	// This slot's transmissions touch half-slots 2t .. 2t+2. Halves
 	// 2t+1 and 2t+2 are first touched now; zero their ring entries.
@@ -160,28 +146,15 @@ func (u *unaligned) step() bool {
 	u.clearHalf(2*t + 2)
 
 	// Send phase.
-	var cur []txRec
-	for i := 0; i < e.n; i++ {
-		if !e.awake[i] {
-			continue
-		}
-		msg := e.cfg.Protocols[i].Send(t)
-		if msg == nil {
-			continue
-		}
+	e.tx, e.dec = e.b.Send(t, e.awakeList, e.skip, e.out, e.tx, e.dec)
+	e.tx, e.dec = e.b.Send(t, e.pending, e.skip, e.out, e.tx, e.dec)
+	cur := u.cur[:0]
+	for _, i := range e.tx {
+		msg := e.out[i]
+		e.out[i] = nil
 		h0 := 2*t + int64(u.offsets[i])
 		cur = append(cur, txRec{node: NodeID(i), msg: msg, h0: h0})
-		e.res.Transmissions++
-		e.res.PerNodeTx[i]++
-		if bits := msg.Bits(e.cfg.NEstimate); bits > e.res.MaxMessageBits {
-			e.res.MaxMessageBits = bits
-		}
-		if ob != nil {
-			ob.OnTransmit(t, NodeID(i), msg)
-		}
-		if met != nil {
-			met.AddTransmission()
-		}
+		e.noteTx(t, i, msg, ob, met)
 		for _, h := range [2]int64{h0, h0 + 1} {
 			u.selfTx[i][h&7] = true
 			for _, w := range e.edges[e.rowStart[i]:e.rowEnd[i]] {
@@ -189,6 +162,7 @@ func (u *unaligned) step() bool {
 			}
 		}
 	}
+	e.tx = e.tx[:0]
 
 	// Resolve the previous slot's transmissions: their half-slots
 	// (2(t−1) .. 2t) are now finalized.
@@ -233,40 +207,14 @@ func (u *unaligned) step() bool {
 			if met != nil {
 				met.AddDelivery()
 			}
-			e.cfg.Protocols[w].Recv(t, tx.msg)
+			e.b.Recv(t, w, tx.msg)
 		}
 	}
-	u.prev = cur
+	u.prev, u.cur = cur, u.prev
 
-	// Decision detection, as in the aligned engine.
-	for i := 0; i < e.n; i++ {
-		if !e.decided[i] && e.awake[i] && e.cfg.Protocols[i].Done() {
-			e.decided[i] = true
-			e.numDone++
-			e.res.DecideSlot[i] = t
-			if ob != nil {
-				ob.OnDecide(t, NodeID(i))
-			}
-			if met != nil {
-				met.AddDecision()
-			}
-		}
-	}
-	if ob != nil {
-		ob.OnSlot(t)
-	}
-	if met != nil {
-		met.AddSlot()
-	}
-	e.slot++
-	simulatedSlots.Add(1)
-	e.res.Slots = e.slot
-	if e.numDone == e.n {
-		e.res.AllDone = true
-		return false
-	}
-	if e.fs != nil && e.numDone+e.fs.neverDone == e.n {
-		return false // every node that can still decide has (see engine.go)
-	}
-	return e.slot < e.cfg.MaxSlots
+	e.dec = e.b.Settle(e.off, e.dec)
+	decisions, _ := e.decide(t, e.dec, ob, met)
+	e.numDone += int(decisions)
+	e.dec = e.dec[:0]
+	return e.finishSlot(t, ob, met)
 }

@@ -3,6 +3,7 @@ package radio
 import (
 	"testing"
 
+	"radiocolor/internal/fault"
 	"radiocolor/internal/graph"
 )
 
@@ -186,5 +187,42 @@ func TestUnalignedCollisionCountedOncePerListener(t *testing.T) {
 			t.Errorf("k=%d: OnCollision at %v with %v transmitters, want one event at 0 with %d",
 				k, log.at, log.transmitters, k)
 		}
+	}
+}
+
+// TestUnalignedStepZeroAlloc pins the half-slot loop's steady state:
+// its transmission records live in two buffers that swap every slot,
+// and Send and decisions go through the batch over the awake list, so
+// a slot with traffic, loss and a crash/restart inside the window
+// allocates nothing.
+func TestUnalignedStepZeroAlloc(t *testing.T) {
+	n := 32
+	protos := make([]Protocol, n)
+	for i := range protos {
+		protos[i] = &beaconProto{msg: &testMsg{from: NodeID(i)}, mod: 2 + i%5}
+	}
+	inj := mustInjector(t, &fault.Profile{
+		Seed: 5, Loss: 0.2, SkewProb: 0.5,
+		Crashes: []fault.Crash{{Node: 9, At: 100, Restart: 300}},
+	}, n)
+	e, err := newEngine(Config{
+		G: line(n), Protocols: protos, Wake: WakeUniform(n, 20, 3),
+		MaxSlots: 1 << 40, Faults: inj,
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := &unaligned{e: e, offsets: inj.SkewOffsets(n)}
+	u.init()
+	for e.Slot() < 40 { // past the wake ramp
+		u.step()
+	}
+	if allocs := testing.AllocsPerRun(500, func() { u.step() }); allocs != 0 {
+		t.Errorf("half-slot loop allocates %v per slot, want 0", allocs)
+	}
+	res := e.Result()
+	if res.Transmissions == 0 || res.Deliveries == 0 || res.Lost == 0 || res.Restarts != 1 {
+		t.Errorf("window not exercised: tx=%d rx=%d lost=%d restarts=%d",
+			res.Transmissions, res.Deliveries, res.Lost, res.Restarts)
 	}
 }

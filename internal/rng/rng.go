@@ -10,7 +10,10 @@
 // worker count sees the same stream.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Gamma is SplitMix64's increment, 2^64 divided by the golden ratio.
 const Gamma = 0x9E3779B97F4A7C15
@@ -50,6 +53,27 @@ func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
 // Float64 returns a uniform float64 in [0, 1): the draw's top 53 bits
 // scaled by 2^-53, so every value is a multiple of 2^-53.
 func (r *Rand) Float64() float64 { return float64(r.Uint64()>>11) * 0x1p-53 }
+
+// CoinThreshold returns the integer form of a coin with probability p:
+// r.Float64() < p holds exactly when r.Uint64()>>11 < CoinThreshold(p).
+// Float64 is the 53-bit draw m scaled by 2^-53, and both that scaling
+// and p·2^53 are exact in float64, so m·2^-53 < p ⟺ m < p·2^53 ⟺
+// m < ⌈p·2^53⌉. Probabilities ≤ 0 (and NaN) give 0, never true; ≥ 1
+// give 2^53, always true.
+func CoinThreshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * 0x1p53))
+}
+
+// Coin draws once and reports whether the draw falls below the
+// threshold t of CoinThreshold: the same outcome, from the same state,
+// as r.Float64() < p, without floating point.
+func (r *Rand) Coin(t uint64) bool { return r.Uint64()>>11 < t }
 
 // Int63n returns a uniform int64 in [0, n) by Lemire's multiply-shift
 // with rejection ("Fast random integer generation in an interval",

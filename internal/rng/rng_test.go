@@ -166,3 +166,50 @@ func mustPanic(t *testing.T, name string, f func()) {
 	}()
 	f()
 }
+
+// The integer coin is the float coin: Coin(CoinThreshold(p)) and
+// Float64() < p agree on every draw. Pinned at the edge probabilities,
+// at the protocol's real 1/(κ₂Δ) and 1/κ₂ values, on draws that land
+// exactly on a threshold (and one step either side), and over 10^6
+// random (p, draw) pairs.
+func TestCoinMatchesFloat64(t *testing.T) {
+	agree := func(p float64, m uint64) {
+		t.Helper()
+		// A state whose next draw's top 53 bits are m is hard to pick, so
+		// compare the two decision rules on the draw value directly: the
+		// Float64 of a draw is m·2^-53, and Coin compares m itself.
+		f := float64(m) * 0x1p-53
+		if got, want := m < CoinThreshold(p), f < p; got != want {
+			t.Fatalf("p=%v m=%d: Coin %v, Float64() < p %v", p, m, got, want)
+		}
+	}
+	ps := []float64{0, 0x1p-53, 1.0 / 3, 1 - 0x1p-53, 1, -0.5, 2, math.NaN(), math.Inf(1)}
+	for _, k2 := range []int{2, 5, 12, 18, 40} {
+		ps = append(ps, 1/float64(k2))
+		for _, delta := range []int{2, 12, 22, 28, 100} {
+			ps = append(ps, 1/(float64(k2)*float64(delta)))
+		}
+	}
+	const top = 1<<53 - 1
+	for _, p := range ps {
+		th := CoinThreshold(p)
+		for _, m := range []uint64{0, 1, top - 1, top, th, th - 1, th + 1} {
+			if m <= top {
+				agree(p, m)
+			}
+		}
+	}
+	// Through the generator: the same stream gives the same coins.
+	r := Derive(3, 9)
+	for i := 0; i < 1_000_000; i++ {
+		p := ps[i%len(ps)]
+		if i%3 == 0 {
+			p = float64(r.Uint64()>>11) * 0x1p-53 // a random probability
+		}
+		a, b := r, r
+		if got, want := a.Coin(CoinThreshold(p)), b.Float64() < p; got != want {
+			t.Fatalf("pair %d: p=%v Coin %v, Float64() < p %v", i, p, got, want)
+		}
+		r.Uint64()
+	}
+}

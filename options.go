@@ -7,6 +7,7 @@ import (
 
 	"radiocolor/internal/core"
 	"radiocolor/internal/obs"
+	"radiocolor/internal/radio"
 )
 
 // Wakeup selects the wake-up schedule of a run. The paper's guarantees
@@ -139,6 +140,11 @@ type Options struct {
 	// Metrics, when true, attaches an Outcome.Stats snapshot: event
 	// counters, collision rate, throughput and the per-phase timeline.
 	Metrics bool
+
+	// wrapProtocols, set only by this package's tests, replaces the
+	// protocol slice before the run (the batch ≡ per-node differential
+	// hides the nodes' batch membership with it).
+	wrapProtocols func([]radio.Protocol) []radio.Protocol
 }
 
 // Measured carries precomputed graph parameters for Options.Measured.

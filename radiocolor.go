@@ -386,15 +386,20 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 	// Caller node v keeps its wire id and random stream and only moves
 	// to engine slot Forward[v]. Building in engine order keeps the
 	// nodes of one tile close in memory.
-	nodes := make([]*core.Node, g.N())
-	protos := make([]radio.Protocol, g.N())
-	for j := range protos {
-		v := radio.NodeID(j)
+	ids := make([]radio.NodeID, g.N())
+	for j := range ids {
+		ids[j] = radio.NodeID(j)
 		if tilePerm != nil {
-			v = radio.NodeID(tilePerm.Inverse[j])
+			ids[j] = radio.NodeID(tilePerm.Inverse[j])
 		}
-		nodes[v] = core.NewNode(v, radio.NodeRand(opt.Seed, v), par, core.Ablation{})
-		protos[j] = nodes[v]
+	}
+	slotNodes, protos := core.NodesFor(ids, opt.Seed, par, core.Ablation{})
+	nodes := make([]*core.Node, g.N())
+	for j, v := range ids {
+		nodes[v] = slotNodes[j]
+	}
+	if opt.wrapProtocols != nil {
+		protos = opt.wrapProtocols(protos)
 	}
 	if po, ok := opt.Observer.(PhaseObserver); ok {
 		// Fan phase transitions out to both the collector and the
