@@ -32,7 +32,7 @@ func perNodeProtocols(ps []radio.Protocol) []radio.Protocol {
 // TestBatchMatchesPerNode pins the flat batch path to the per-node
 // adapter over the same node handles: every wake schedule, Workers
 // {1, 4} × Tiling {0, 4}, and a plain run, metrics with phase hooks,
-// loss with crash/restart, clock skew (the half-slot loop), churn with
+// loss with crash/restart, clock skew (the half-slot rule), churn with
 // retract repairs, and a multichannel medium must give DeepEqual
 // Outcomes (colors, latencies, stats minus wall clock) and equal
 // per-slot event multisets. Under -short only the synchronous schedule

@@ -21,7 +21,7 @@ import (
 // positions, so Waypoints are only accepted through the geometric
 // entry points (ColorUnitDisk and friends). Churn cannot combine with
 // a pluggable Medium (media bind to a static graph) or with clock-skew
-// fault profiles (the half-slot engine has no churn seam), and churn
+// fault profiles (the half-slot rule reads a static neighbor view), and churn
 // subjects must be disjoint from fault crash/restart victims.
 type ChurnConfig struct {
 	// Joins and Leaves schedule presence changes. A node whose first

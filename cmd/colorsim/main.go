@@ -157,8 +157,8 @@ func main() {
 		timeline = obs.NewTimeline(d.N(), 0)
 	}
 	// Fault injection: parse the profile, default its seed to the run
-	// seed, and compile it against the deployment. Clock-skew profiles
-	// route through the half-slot (non-aligned) engine.
+	// seed, and compile it against the deployment. A clock-skew profile
+	// switches reception to the half-slot (non-aligned) rule.
 	var prof *fault.Profile
 	var inj *fault.Injector
 	if *faults != "" {
@@ -180,7 +180,7 @@ func main() {
 	// deployment (node positions feed waypoint mobility when present).
 	// Churn owns the graph's edge set mid-run, so it cannot combine
 	// with a medium (bound to a static graph) or clock skew (the
-	// half-slot engine has no churn seam).
+	// half-slot rule reads a static neighbor view).
 	var chSch *churn.Schedule
 	var chPlan *churn.Plan
 	if *churnF != "" {
@@ -190,7 +190,7 @@ func main() {
 			os.Exit(2)
 		}
 		if inj.HasSkew() {
-			fmt.Fprintln(os.Stderr, "colorsim: -churn cannot combine with clock-skew faults (the half-slot engine has no churn seam)")
+			fmt.Fprintln(os.Stderr, "colorsim: -churn cannot combine with clock-skew faults (the half-slot rule reads a static neighbor view)")
 			os.Exit(2)
 		}
 		env := churn.Env{G: d.G}
@@ -216,7 +216,7 @@ func main() {
 		os.Exit(2)
 	} else if spec != nil {
 		if inj.HasSkew() {
-			fmt.Fprintln(os.Stderr, "colorsim: -medium cannot combine with clock-skew faults (the half-slot engine has no medium seam)")
+			fmt.Fprintln(os.Stderr, "colorsim: -medium cannot combine with clock-skew faults (the half-slot rule owns reception)")
 			os.Exit(2)
 		}
 		if chPlan != nil {
@@ -253,12 +253,7 @@ func main() {
 		Medium:   med,
 		Tiles:    *tile,
 	}
-	var res *radio.Result
-	if inj.HasSkew() {
-		res, err = radio.RunUnalignedContext(ctx, cfg, nil)
-	} else {
-		res, err = radio.RunContext(ctx, cfg)
-	}
+	res, err := radio.RunContext(ctx, cfg)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "colorsim: interrupted")

@@ -31,8 +31,9 @@ type FaultConfig struct {
 	// Jammers corrupt slots at their victim receivers.
 	Jammers []Jam
 	// SkewProb offsets each node's clock by half a slot with this
-	// probability; skewed runs go through the half-slot engine (the
-	// paper's non-aligned model), where Workers is ignored.
+	// probability; receptions then follow the half-slot rule (the
+	// paper's non-aligned model). Workers and Tiling still split the
+	// Send sweep; the rule resolves each slot in one pass.
 	SkewProb float64
 }
 

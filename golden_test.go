@@ -49,10 +49,10 @@ func fingerprint(o *Outcome) uint64 {
 	return h.Sum64()
 }
 
-// TestProtocolGolden pins the protocol's execution across the slot
-// loops the public API reaches: the untiled kernel (sequential and
-// parallel), the tiled kernel, the half-slot loop under loss, skew and
-// crash/restart, a pluggable medium, and churn. Every configuration
+// TestProtocolGolden pins the protocol's execution across the
+// configurations of the slot loop the public API reaches: one tile
+// (one worker and four), four tiles, the half-slot rule under loss,
+// skew and crash/restart, a pluggable medium, and churn. Every configuration
 // runs with Metrics and, unless -short, again without — the two take
 // different engine paths — and both runs must agree on every outcome
 // field. The fingerprints were recorded when the per-node streams became

@@ -29,7 +29,7 @@ func adapted(nodes []*core.Node) []radio.Protocol {
 	return protos
 }
 
-// BenchmarkSlotLoop times the untiled slot loop on a full-1k-shaped run
+// BenchmarkSlotLoop times the slot loop at one tile on a full-1k-shaped run
 // (n=1000 UDG of target degree 12, practical constants at scale 1.5,
 // synchronous wake-up, one worker) to completion, driven by the Flat
 // batch and by the per-node adapter over the same handles. It reports

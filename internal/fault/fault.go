@@ -43,7 +43,7 @@ type Profile struct {
 	Jammers []Jammer
 	// SkewProb is the probability that a node's slot boundary is
 	// offset by half a slot (the paper's unsynchronized-clock model;
-	// runs through the half-slot engine in internal/radio/unaligned.go).
+	// resolved by the half-slot rule in internal/radio/unaligned.go).
 	SkewProb float64
 
 	// labels maps a Permuted profile's node ids back to the labels the
@@ -425,12 +425,12 @@ func (inj *Injector) Jammed(slot int64, to int32) bool {
 // then node. Callers must not mutate it.
 func (inj *Injector) Events() []Event { return inj.events }
 
-// HasSkew reports whether the profile asks for clock skew; such runs
-// must go through the half-slot engine.
+// HasSkew reports whether the profile asks for clock skew; the radio
+// engine then resolves receptions with the half-slot rule.
 func (inj *Injector) HasSkew() bool { return inj != nil && inj.skew > 0 }
 
 // SkewOffsets derives the per-node half-slot offsets (0 or 1) for the
-// unaligned engine, deterministically from the profile seed.
+// half-slot rule, deterministically from the profile seed.
 func (inj *Injector) SkewOffsets(n int) []int8 {
 	off := make([]int8, n)
 	if inj.skew <= 0 {

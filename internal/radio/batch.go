@@ -11,9 +11,8 @@ type Batch interface {
 	// Start wakes node v in slot (Protocol.Start).
 	Start(slot int64, v int32)
 	// Send ticks every node of ids whose skip entry is unset (skip may
-	// be nil), as Protocol.Send would one by one. ids is an activity
-	// list: ascending, or a run of ascending wake-up blocks (the untiled
-	// loops' pending list). A transmitter's message goes to out[v] and v
+	// be nil), as Protocol.Send would one by one. ids is an ascending
+	// activity list. A transmitter's message goes to out[v] and v
 	// is appended to tx; a node that decides in its tick is appended to
 	// dec. Both follow the order of ids, and Send returns them. Messages
 	// follow the Protocol.Send validity contract.

@@ -15,7 +15,8 @@ import (
 	"radiocolor/internal/topology"
 )
 
-// Kernel throughput measurement: the CSR slot kernel versus the retained
+// Kernel throughput measurement: the engine's slot loop, as one tile
+// (Tiles=0, the "csr" column) and as several, versus the retained
 // reference (seed) slot loop on identical workloads. The headline
 // numbers live in BENCH_kernel.json at the repository root; regenerate
 // them with
@@ -30,9 +31,9 @@ import (
 //
 //	KERNEL_BENCH_SMOKE=1 go test ./internal/radio -run TestKernelBenchSmoke
 //
-// which re-measures the smallest size and compares the CSR/reference
-// speedup RATIO against the committed baseline (ratios are much more
-// machine-independent than absolute slots/s).
+// which re-measures the smallest size and compares the csr/reference
+// and tiled/reference speedup RATIOS against the committed baseline
+// (ratios are much more machine-independent than absolute slots/s).
 //
 // The workload uses a deliberately lightweight synthetic protocol (an
 // LCG transmit coin tuned to ~1.5 transmitting neighbors per
@@ -206,8 +207,9 @@ func (w kernelWorkload) protocols() []radio.Protocol {
 type stepper interface{ Step() bool }
 
 // Engine variants measured by the bench: the retained seed loop, the
-// untiled CSR kernel, and the tiled CSR kernel (Hilbert-blocked tiles
-// plus the Quiescent seam the synthetic protocol declares).
+// engine as one tile (Tiles=0), and the engine over Hilbert-blocked
+// tiles. Both engine variants use the Quiescent seam the synthetic
+// protocol declares.
 const (
 	benchRef = iota
 	benchCSR
@@ -260,7 +262,7 @@ func (w kernelWorkload) measure(t testing.TB, mode int) float64 {
 
 // benchEntry is one size's record in BENCH_kernel.json. Speedup is
 // csr/ref, TiledSpeedup tiled/ref — both against the seed loop, so the
-// two engine generations are directly comparable.
+// two engine variants are directly comparable.
 type benchEntry struct {
 	N                int     `json:"n"`
 	Edges            int     `json:"edges"`
@@ -281,42 +283,49 @@ type benchFile struct {
 	Entries  []benchEntry `json:"entries"`
 }
 
-// measureEntry records one size. Each engine is timed benchSamples
-// times, alternating engines so slow machine phases hit both equally,
-// and the median is kept: single runs on a shared machine can swing
-// ±10%, medians keep the committed numbers reproducible.
-const benchSamples = 3
+// measureEntry records one size over the given number of rounds. Each
+// round times the three engines back to back, so a slow phase of a
+// shared machine hits all of them alike: the speedups are the medians
+// of the per-round ratios, and each slots/s figure the median of that
+// engine's samples.
+func measureEntry(t testing.TB, n, rounds int) benchEntry {
+	w := makeKernelWorkload(n)
+	var refs, csrs, tiled, csrRatio, tiledRatio []float64
+	for r := 0; r < rounds; r++ {
+		ref := w.measure(t, benchRef)
+		csr := w.measure(t, benchCSR)
+		til := w.measure(t, benchTiled)
+		refs, csrs, tiled = append(refs, ref), append(csrs, csr), append(tiled, til)
+		csrRatio = append(csrRatio, csr/ref)
+		tiledRatio = append(tiledRatio, til/ref)
+	}
+	return benchEntry{
+		N:                n,
+		Edges:            w.g.G.M(),
+		Slots:            w.slots,
+		RefSlotsPerSec:   median(refs),
+		CSRSlotsPerSec:   median(csrs),
+		Speedup:          median(csrRatio),
+		TiledTiles:       benchTiles(n),
+		TiledSlotsPerSec: median(tiled),
+		TiledSpeedup:     median(tiledRatio),
+	}
+}
 
 func median(xs []float64) float64 {
 	sort.Float64s(xs)
 	return xs[len(xs)/2]
 }
 
-func measureEntry(t testing.TB, n int) benchEntry {
-	w := makeKernelWorkload(n)
-	samples := benchSamples
-	if n >= 1_000_000 {
-		samples = 1 // passes this long (12G+ node-slots) self-average
-	}
-	var refs, csrs, tiled []float64
-	for s := 0; s < samples; s++ {
-		refs = append(refs, w.measure(t, benchRef))
-		csrs = append(csrs, w.measure(t, benchCSR))
-		tiled = append(tiled, w.measure(t, benchTiled))
-	}
-	ref, csr, til := median(refs), median(csrs), median(tiled)
-	return benchEntry{
-		N:                n,
-		Edges:            w.g.G.M(),
-		Slots:            w.slots,
-		RefSlotsPerSec:   ref,
-		CSRSlotsPerSec:   csr,
-		Speedup:          csr / ref,
-		TiledTiles:       benchTiles(n),
-		TiledSlotsPerSec: til,
-		TiledSpeedup:     til / ref,
-	}
-}
+// benchRounds is the JSON regeneration's rounds per size: single runs
+// on a shared machine can swing ±10%, medians keep the committed
+// numbers reproducible. smokeRounds is the CI gate's: on a shared
+// 2-vCPU host single rounds of the 10k workload read the csr ratio
+// anywhere in 1.55–2.06×, so the gate needs the median of several.
+const (
+	benchRounds = 3
+	smokeRounds = 5
+)
 
 // TestKernelBenchJSON regenerates BENCH_kernel.json. Skipped unless
 // -benchkernel-out is given: the full matrix builds a million-node UDG
@@ -327,12 +336,16 @@ func TestKernelBenchJSON(t *testing.T) {
 	}
 	out := benchFile{
 		Schema:   "bench-kernel/v1",
-		Workload: "udg target-degree 12 with hilbert-order node ids (shared internal/graph relabeling pass), deployment-sweep wake ramp in id order with 10% jitter, slot budgets growing ~sqrt(n) (truncated ramp at n=10M), synthetic kernel-stress protocol (p_tx~1.5/deg, per-node competition window of min(slots/5,900) local slots, quiescent after deciding); median of 3 runs per engine (single run at n>=1M)",
+		Workload: "udg target-degree 12 with hilbert-order node ids (shared internal/graph relabeling pass), deployment-sweep wake ramp in id order with 10% jitter, slot budgets growing ~sqrt(n) (truncated ramp at n=10M), synthetic kernel-stress protocol (p_tx~1.5/deg, per-node competition window of min(slots/5,900) local slots, quiescent after deciding); 3 interleaved rounds per size, slots/s the median per engine and speedups the median of per-round ratios (single round at n>=1M)",
 		GOOS:     runtime.GOOS,
 		GOARCH:   runtime.GOARCH,
 	}
 	for _, n := range []int{10_000, 100_000, 1_000_000, 10_000_000} {
-		e := measureEntry(t, n)
+		rounds := benchRounds
+		if n >= 1_000_000 {
+			rounds = 1 // passes this long (12G+ node-slots) self-average
+		}
+		e := measureEntry(t, n, rounds)
 		t.Logf("n=%-8d edges=%-9d slots=%-6d ref=%.0f slots/s  csr=%.0f slots/s (%.2fx)  tiled[%d]=%.0f slots/s (%.2fx)",
 			e.N, e.Edges, e.Slots, e.RefSlotsPerSec, e.CSRSlotsPerSec, e.Speedup,
 			e.TiledTiles, e.TiledSlotsPerSec, e.TiledSpeedup)
@@ -348,8 +361,9 @@ func TestKernelBenchJSON(t *testing.T) {
 }
 
 // TestKernelBenchSmoke is the CI regression gate: it re-measures the
-// 10k-node workload and fails when the CSR/reference speedup falls more
-// than 20% below the committed baseline's. Enabled by KERNEL_BENCH_SMOKE=1.
+// 10k-node workload over smokeRounds interleaved rounds and fails when
+// the median csr/reference or tiled/reference speedup falls more than
+// 20% below the committed baseline's. Enabled by KERNEL_BENCH_SMOKE=1.
 func TestKernelBenchSmoke(t *testing.T) {
 	if os.Getenv("KERNEL_BENCH_SMOKE") == "" {
 		t.Skip("set KERNEL_BENCH_SMOKE=1 to run the kernel-bench regression gate")
@@ -371,7 +385,7 @@ func TestKernelBenchSmoke(t *testing.T) {
 	if base == nil {
 		t.Fatal("committed BENCH_kernel.json has no n=10000 entry")
 	}
-	got := measureEntry(t, 10_000)
+	got := measureEntry(t, 10_000, smokeRounds)
 	t.Logf("baseline csr %.2fx tiled %.2fx, measured csr %.2fx tiled %.2fx (ref %.0f, csr %.0f, tiled %.0f slots/s)",
 		base.Speedup, base.TiledSpeedup, got.Speedup, got.TiledSpeedup,
 		got.RefSlotsPerSec, got.CSRSlotsPerSec, got.TiledSlotsPerSec)

@@ -144,23 +144,18 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 			if lv.Final && !e.decided[v] {
 				cs.neverDone++
 			}
-			if e.awake[v] {
-				e.awake[v] = false
-				e.rs[v].count = asleepCount
-			}
+			e.rs[v].count = asleepCount
 		}
 
 		// Edge delta: the dynamic CSR mutates its row-bound headers in
 		// place (the engine's rowStart/rowEnd alias them), but the edge
-		// array may have been reallocated by a row relocation. The tiled
-		// kernel additionally re-derives the changed rows' intra-tile
-		// spans.
+		// array may have been reallocated by a row relocation. A
+		// multi-tile run additionally re-derives the changed rows'
+		// intra-tile spans.
 		if !b.Delta.Empty() {
 			_, cs.touched = cs.dyn.Apply(b.Delta, cs.touched[:0])
 			e.edges = cs.dyn.EdgeArray()
-			if e.ts != nil {
-				e.ts.refreshRows(cs.touched, e.rowStart, e.rowEnd, e.edges)
-			}
+			e.ts.refreshRows(cs.touched, e.rowStart, e.rowEnd, e.edges)
 		}
 
 		// Joins: the node enters (or re-enters) as a fresh wake-up, with
@@ -181,7 +176,6 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 			if wasWoke {
 				e.cfg.Protocols[v].(Restartable).Reset()
 			}
-			e.awake[v] = true
 			e.rs[v].count = 0
 			e.everWoke[v] = true
 			if ob != nil {
@@ -230,8 +224,8 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 			}
 		}
 	}
-	// The pending list is sorted at flush time (untiled) or per-slot
-	// suffix merge (tiled), so insertion order is free.
+	// The pending list is sorted before the sweeps, so insertion order
+	// is free.
 	e.pending = append(e.pending, e.rejoin...)
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"radiocolor/internal/churn"
 	"radiocolor/internal/fault"
@@ -34,14 +33,14 @@ type Config struct {
 	// Observer receives trace events. nil (the default) disables the
 	// seam entirely: the engines branch on nil per event and allocate
 	// nothing. Combine several observers with Observers. A non-nil
-	// Observer also keeps the deliver phase sequential under Workers > 1
-	// so that traced event streams stay fully ordered.
+	// Observer runs the tiles sequentially, and with Tiles ≤ 1 as one
+	// tile, so that traced event streams stay fully ordered.
 	Observer Observer
 	// Metrics, when non-nil, receives atomic event counters (see
 	// internal/obs). Like Observer, nil costs one branch per event.
 	// Metrics is independent of Observer so a shared registry can
 	// aggregate across concurrent runs without any fan-out indirection.
-	// Being atomic, Metrics does not force the sequential deliver path.
+	// Being atomic, Metrics does not force sequential tiles.
 	Metrics *obs.Metrics
 	// NEstimate is the network-size estimate used for message-size
 	// accounting (default G.N()).
@@ -52,8 +51,9 @@ type Config struct {
 	// internal/fault). nil (the default) disables the seam entirely —
 	// the hot path pays one nil check per phase and the output is
 	// bit-identical to a fault-free engine. Compile the injector for
-	// exactly G.N() nodes; profiles with clock skew must run through
-	// RunUnaligned, and profiles that schedule restarts require the
+	// exactly G.N() nodes. A profile with clock skew supplies half-slot
+	// clock offsets and switches reception to the half-slot rule (see
+	// RunUnaligned); profiles that schedule restarts require the
 	// victims' protocols to implement Restartable.
 	Faults *fault.Injector
 	// Medium, when non-nil, replaces the built-in reception rule (a
@@ -77,36 +77,34 @@ type Config struct {
 	// output is bit-identical to the static engine. Batches apply
 	// single-threaded, so churned runs are bit-identical at any Workers
 	// and Tiles setting. Compile the plan for exactly G.N() nodes;
-	// churn cannot be combined with a pluggable Medium or with
-	// RunUnaligned, joining nodes' protocols must implement Restartable,
-	// retraction repair additionally needs Colored, and a node cannot be
-	// both a fault crash/restart victim and a churn subject.
+	// churn cannot be combined with a pluggable Medium or with clock
+	// skew (the half-slot rule reads a static neighbor view), joining
+	// nodes' protocols must implement Restartable, retraction repair
+	// additionally needs Colored, and a node cannot be both a fault
+	// crash/restart victim and a churn subject.
 	Churn *churn.Plan
-	// Workers > 1 runs the per-slot Send, resolve and deliver phases on
-	// that many goroutines. Results are bit-identical to the sequential
-	// engine: every node owns an independent random stream, the resolve
-	// phase partitions the transmitters' CSR edge ranges and merges the
-	// per-worker (count, lowest sender) accumulators deterministically
-	// (sum and min are order-free), and the deliver phase partitions
-	// receivers, which never share protocol state.
+	// Workers > 1 runs the tiles of a slot (see Tiles) on that many
+	// goroutines, with dynamic tile assignment. Tiles are the only
+	// parallelism: with Tiles ≤ 1 an untraced run is cut into Workers
+	// tiles. Results are bit-identical at any worker count: every node
+	// owns an independent random stream and every merge across tiles is
+	// order-free.
 	Workers int
-	// Tiles > 1 runs the cache-aware tiled slot loop (tiled.go): node
-	// ids are partitioned into Tiles contiguous blocks, each slot makes
-	// two tile-major sweeps (Send + intra-tile resolve, then a
-	// boundary-exchange merge of cross-tile edges + deliver + decide),
-	// and under Workers > 1 the tiles run on independent goroutines.
-	// Results are bit-identical to the untiled engine at any tile and
-	// worker count — every merge is order-free — which the tiled
-	// differential suite pins. Tiling pays off when ids are spatially
-	// coherent (relabel with internal/graph HilbertOrder/StripOrder/
-	// BFSOrder first) so that most edges stay inside a tile. Tiles < 0
-	// picks a size-based tile count automatically (AutoTiles); 0 or 1
-	// keeps the untiled loop. A non-nil Medium replaces the resolve and
-	// deliver phases wholesale, so tiled runs with a medium fall back to
-	// the untiled loop (same results either way). Within a slot a traced
-	// tiled run emits OnDeliver/OnCollision events grouped by tile
-	// rather than in the untiled order; all other event streams, and
-	// every Result field, are identical.
+	// Tiles > 1 cuts node ids into Tiles contiguous blocks and runs the
+	// slot loop tile-major (tiled.go): each slot makes two sweeps (Send
+	// plus intra-tile resolve, then a boundary-exchange merge of
+	// cross-tile edges plus deliver). 0 or 1 is one tile holding every
+	// node, which needs no boundary exchange (or Workers tiles, see
+	// Workers); Tiles < 0 picks a size-based count (AutoTiles). Results are bit-identical at any tile
+	// and worker count, which the tiled differential suite pins. Tiling
+	// pays off when ids are spatially coherent (relabel with
+	// internal/graph HilbertOrder/StripOrder/BFSOrder first) so that most
+	// edges stay inside a tile. Under a Medium or clock skew the tiles
+	// only split the Send sweep: the medium or the half-slot rule then
+	// resolves the whole slot in one pass over the transmitters. Within a
+	// slot a traced multi-tile run emits OnDeliver/OnCollision events
+	// grouped by tile; all other event streams, and every Result field,
+	// are identical.
 	Tiles int
 }
 
@@ -114,21 +112,21 @@ type Config struct {
 // the step-wise API supports protocols that need outside inspection
 // between slots (tests, visualizers).
 //
-// The slot loop works on the graph's CSR view (one flat edge array plus
-// offsets) and is zero-alloc in steady state: per-slot scratch is
-// kept valid by standing sentinels rather than cleared, awake nodes and
-// transmissions are tracked in compact lists so no phase scans all n
-// nodes, the protocols are driven through one Batch call per list, which
-// reports decisions itself, and a transmitter's whole neighborhood is
-// one contiguous read. The original
+// There is one slot loop (Step), tile-major over the tiles of tiled.go;
+// an untiled run is one tile. It works on the graph's CSR view (one
+// flat edge array plus offsets) and is zero-alloc in steady state:
+// per-slot scratch is kept valid by standing sentinels rather than
+// cleared, awake nodes and transmissions are tracked in compact lists
+// so no phase scans all n nodes, the protocols are driven through one
+// Batch call per list, which reports decisions itself, and a
+// transmitter's whole neighborhood is one contiguous read. The original
 // slice-chasing slot loop is retained verbatim as the reference engine
-// (reference.go); differential tests pin this kernel to it bit-for-bit.
+// (reference.go); differential tests pin this loop to it bit-for-bit.
 type Engine struct {
 	cfg     Config
 	n       int
 	slot    int64
 	b       Batch // drives cfg.Protocols (batchOf)
-	awake   []bool
 	out     []Message
 	order   []int32 // node ids sorted by wake slot
 	next    int     // index into order of the next node to wake
@@ -152,14 +150,17 @@ type Engine struct {
 	// matters: protocol state and per-node RNG arrays are allocated
 	// node-by-node, so an ascending sweep is a regular-stride memory
 	// walk the prefetcher can follow, while wake-order iteration is a
-	// random permutation that stalls on every node at large n. tx holds
-	// this slot's transmitters; awakeList every awake node (newly woken
-	// ids are merged in, staying sorted); dec the nodes the Batch
-	// reported deciding this slot.
-	tx        []int32
-	awakeList []int32
-	pending   []int32 // recently woken, not yet merged into awakeList
-	dec       []int32
+	// random permutation that stalls on every node at large n.
+	// awakeList holds every awake node; pending the recently woken ones
+	// not yet merged into it (its first pendingSorted entries are
+	// sorted, pendScratch is the merge buffer); tx this slot's
+	// transmitters and dec its decisions, gathered from the tiles.
+	awakeList     []int32
+	pending       []int32
+	pendingSorted int
+	pendScratch   []int32
+	tx            []int32
+	dec           []int32
 
 	// Per-slot receive scratch. The between-slot invariant: count == 0
 	// for awake listeners, count == asleepCount for asleep nodes (set at
@@ -170,13 +171,11 @@ type Engine struct {
 	// transmitters need a restore, both on lines already in hand.
 	// Packing (from, count) into one 8-byte struct makes the resolve
 	// phase's random accesses as dense as possible: eight receivers per
-	// cache line.
-	rs      []recvSlot
-	touched []int32
+	// cache line. A node is awake iff its count is not asleepCount.
+	rs []recvSlot
 
-	// Parallel-phase scratch, allocated on first use when Workers > 1.
-	scratch []resolveScratch
-	lists   []workerLists
+	// The tile partition and per-tile scratch (tiled.go).
+	ts *tileState
 
 	// Fault-injection state; nil unless Config.Faults is set (fault.go).
 	fs *faultState
@@ -200,21 +199,16 @@ type Engine struct {
 	// starts): re-inserts into the awake lists.
 	rejoin []int32
 
-	// Tiled-kernel state; nil unless Config.Tiles > 1 selected the tiled
-	// slot loop (tiled.go). silent marks nodes whose protocols declared
-	// permanent quiescence (see the Quiescent interface); the tiled Send
-	// sweep skips them and the activity lists compact them away.
-	ts          *tileState
+	// silent marks nodes whose protocols declared permanent quiescence
+	// (see the Quiescent interface); the Send sweep skips them and the
+	// activity lists compact them away. Allocated only when a protocol
+	// implements Quiescent and neither faults nor churn can revive a
+	// node.
 	silent      []bool
 	silentCount int
-	// skip is the Send phase's exclusion filter: off, or silent on a
-	// tiled run that has it (the two never coexist).
+	// skip is the Send phase's exclusion filter: off, or silent when it
+	// exists (the two never coexist).
 	skip []bool
-	// pendingSorted is the length of pending's known-sorted prefix and
-	// pendScratch the merge buffer; both are tiled-loop-only (the
-	// untiled loop sorts pending once, at flush time).
-	pendingSorted int
-	pendScratch   []int32
 
 	// Reception-medium state; nil unless Config.Medium is set
 	// (medium.go). listenFn is the standing listener predicate handed to
@@ -223,13 +217,17 @@ type Engine struct {
 	med      medium.Instance
 	listenFn func(int32) bool
 	recs     []medium.Reception
+
+	// Half-slot reception state; nil unless the run has clock offsets
+	// (unaligned.go).
+	hs *halfSlot
 }
 
 // recvSlot is one receiver's per-slot resolve accumulator. The
 // between-slot invariant is count == 0 for awake nodes and
 // count == asleepCount for asleep ones, so the resolve phase reads the
 // receiver's sleep state from the accumulator it must load anyway and
-// never consults the awake array.
+// never consults a separate awake array.
 type recvSlot struct {
 	from  int32 // lowest-indexed transmitting neighbor this slot
 	count int32 // transmitting neighbors this slot
@@ -247,28 +245,15 @@ const asleepCount = -1 << 30
 // outbox check; the per-slot tx sweep restores the entries to 0.
 const txMarker = -1 << 28
 
-// workerLists is one worker's private transmitter and decision lists
-// for the parallel Send phase, kept across slots.
-type workerLists struct {
-	tx, dec []int32
-}
-
-// resolveScratch is one worker's private accumulator for the parallel
-// resolve phase.
-type resolveScratch struct {
-	rs      []recvSlot
-	touched []int32
-	cleared []int32
-}
-
 // NewEngine validates the configuration and prepares a run.
 func NewEngine(cfg Config) (*Engine, error) {
-	return newEngine(cfg, false)
+	return newEngine(cfg, nil)
 }
 
-// newEngine is NewEngine plus the skew escape hatch used by
-// RunUnaligned, which is the only engine that models clock offsets.
-func newEngine(cfg Config, allowSkew bool) (*Engine, error) {
+// newEngine is NewEngine with explicit half-slot clock offsets, the
+// form RunUnaligned uses; nil takes them from a skew fault profile, if
+// the run has one.
+func newEngine(cfg Config, offsets []int8) (*Engine, error) {
 	if err := validateConfig(&cfg); err != nil {
 		return nil, err
 	}
@@ -277,7 +262,6 @@ func newEngine(cfg Config, allowSkew bool) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		n:         n,
-		awake:     make([]bool, n),
 		out:       make([]Message, n),
 		decided:   make([]bool, n),
 		rowStart:  csr.Offsets[:n],
@@ -297,16 +281,31 @@ func newEngine(cfg Config, allowSkew bool) (*Engine, error) {
 		e.everWoke = make([]bool, n)
 	}
 	if cfg.Faults != nil {
-		fs, err := newFaultState(cfg.Faults, &e.cfg, n, allowSkew)
+		fs, err := newFaultState(cfg.Faults, &e.cfg, n)
 		if err != nil {
 			return nil, err
 		}
 		e.fs = fs
+		if offsets == nil && cfg.Faults.HasSkew() {
+			offsets = cfg.Faults.SkewOffsets(n)
+		}
+	}
+	if offsets != nil {
+		// The half-slot rule decides every reception itself, from the
+		// neighbor rows it read when the transmissions began.
+		if cfg.Medium != nil {
+			return nil, errors.New("radio: clock skew cannot combine with a pluggable medium (the half-slot rule owns reception)")
+		}
+		if cfg.Churn != nil {
+			return nil, errors.New("radio: clock skew cannot combine with churn (the half-slot rule reads a static neighbor view)")
+		}
+		hs, err := newHalfSlot(offsets, n)
+		if err != nil {
+			return nil, err
+		}
+		e.hs = hs
 	}
 	if cfg.Churn != nil {
-		if allowSkew {
-			return nil, errors.New("radio: churn cannot run through RunUnaligned (the half-slot resolver has a static neighbor view)")
-		}
 		cs, err := newChurnState(cfg.Churn, &e.cfg, n)
 		if err != nil {
 			return nil, err
@@ -333,27 +332,41 @@ func newEngine(cfg Config, allowSkew bool) (*Engine, error) {
 		// transmitters txMarker during the slot).
 		e.listenFn = func(i int32) bool { return e.rs[i].count == 0 }
 	}
-	if cfg.Tiles > 1 && e.med == nil {
-		// A pluggable medium replaces the resolve and deliver phases
-		// wholesale, so there is nothing left to tile; such runs keep
-		// the untiled loop (bit-identical either way).
-		e.ts = newTileState(cfg.Tiles, n, e.rowStart, e.rowEnd, e.edges)
-		if cfg.Faults == nil && cfg.Churn == nil {
-			// The quiescence seam (tiled.go): allocated up front so
-			// parallel tile workers never race to create it. Fault and
-			// churn profiles disable it — a restart or rejoin must be
-			// able to revive any node, and revived nodes re-enter via
-			// the pending list only if they never left the activity
-			// lists (conflict repair likewise re-contends a silenced
-			// node).
-			e.silent = make([]bool, n)
-		}
+	tiles := cfg.Tiles
+	if tiles < 0 {
+		tiles = AutoTiles(n)
+	}
+	if tiles <= 1 && cfg.Observer == nil {
+		// Tiles are the only parallelism. A traced run keeps one tile:
+		// its sweeps run sequentially anyway, and more tiles would only
+		// regroup its deliver events.
+		tiles = cfg.Workers
+	}
+	e.ts = newTileState(tiles, n, e.rowStart, e.rowEnd, e.edges, e.med == nil && e.hs == nil)
+	if cfg.Faults == nil && cfg.Churn == nil && anyQuiescent(cfg.Protocols) {
+		// Fault and churn profiles disable quiescence: a restart or
+		// rejoin must be able to revive any node, and revived nodes
+		// re-enter via the pending list only if they never left the
+		// activity lists (conflict repair likewise re-contends a
+		// silenced node).
+		e.silent = make([]bool, n)
 	}
 	e.skip = e.off
 	if e.silent != nil {
 		e.skip = e.silent
 	}
 	return e, nil
+}
+
+// anyQuiescent reports whether some protocol implements Quiescent, the
+// only case in which the silent flags can ever be set.
+func anyQuiescent(protos []Protocol) bool {
+	for _, p := range protos {
+		if _, ok := p.(Quiescent); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // validateConfig checks and normalizes a Config in place. Shared with
@@ -382,15 +395,6 @@ func validateConfig(cfg *Config) error {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	if cfg.Tiles < 0 {
-		cfg.Tiles = AutoTiles(n)
-	}
-	if cfg.Tiles > maxTiles {
-		cfg.Tiles = maxTiles
-	}
-	if cfg.Tiles > n {
-		cfg.Tiles = n
 	}
 	return nil
 }
@@ -423,113 +427,112 @@ func newResult(wake []int64) Result {
 
 // Step simulates one slot. It returns false when the run is over
 // (everyone decided or the slot limit was reached).
+//
+// The slot runs tile-major: sweep 1 ticks every tile's awake nodes and
+// resolves its transmitters' intra-tile edges, sweep 2 folds the
+// cross-tile edges and delivers (tiled.go). A medium or the half-slot
+// rule instead resolves and delivers the whole slot in one sequential
+// pass over the transmitters, in ascending order, after sweep 1's Send.
+// Either way the decisions are recorded once every reception is in.
 func (e *Engine) Step() bool {
-	if e.ts != nil {
-		return e.stepTiled()
-	}
 	t := e.slot
 	ob := e.cfg.Observer
 	met := e.cfg.Metrics
+	ts := e.ts
 
 	e.wakePhase(t, ob, met)
-	// A traced run flushes every slot so OnTransmit and OnDecide events
-	// keep the reference's ascending-id order; so does the parallel
-	// path, whose workers partition one list, and the medium path, which
-	// needs the transmitter list in ascending order so float
-	// accumulation (SINR) is bit-identical at any worker count.
-	e.flushPending(e.cfg.Workers > 1 || ob != nil || e.med != nil)
-
-	// Send phase: one batch call per activity list ticks every awake
-	// node in ascending order and collects the transmitters and this
-	// slot's decisions. Protocols are independent state machines, so
-	// call order within a slot cannot influence results. Crashed and
-	// absent nodes stay in the lists (they may restart or rejoin); the
-	// off filter skips them. Transmission bookkeeping (counters, max
-	// message size, events) is order-free.
-	if e.cfg.Workers > 1 {
-		e.parallelSend(t)
-	} else {
-		e.tx, e.dec = e.b.Send(t, e.awakeList, e.skip, e.out, e.tx, e.dec)
-		e.tx, e.dec = e.b.Send(t, e.pending, e.skip, e.out, e.tx, e.dec)
+	// A traced run keeps OnTransmit in ascending order, and a slot-wide
+	// pass (a medium or the half-slot rule) takes the transmitters in
+	// ascending order, which keeps float accumulation (SINR) the same at
+	// any tile count: these fold pending in every slot.
+	e.mergePending(ob != nil || e.med != nil || e.hs != nil)
+	// Quiescence compaction: once a quarter of the awake list is
+	// permanently silent, rewrite it without those nodes (silent nodes
+	// are never in pending — they quiesced after waking). Amortized
+	// O(1) per silenced node; the silent flags stay set (the nodes
+	// remain valid listeners for the resolve phase).
+	if e.silentCount > 0 && e.silentCount*4 >= len(e.awakeList)+len(e.pending) {
+		sil := e.silent
+		w := 0
+		for _, i := range e.awakeList {
+			if !sil[i] {
+				e.awakeList[w] = i
+				w++
+			}
+		}
+		e.awakeList = e.awakeList[:w]
+		e.silentCount = 0
 	}
-	for _, v := range e.tx {
-		e.rs[v].count = txMarker
-		e.noteTx(t, v, e.out[v], ob, met)
-	}
+	ts.segment(e.awakeList, ts.aSeg)
+	ts.segment(e.pending, ts.pSeg)
 
-	// Resolve phase: accumulate per-receiver transmitting-neighbor counts
-	// and the lowest-indexed transmitter into the per-slot scratch. A
-	// pluggable medium replaces both this and the deliver phase below;
-	// the cleanup after them is shared.
-	if e.med != nil {
-		e.mediumResolveDeliver(t, ob, met)
-	} else if e.cfg.Workers > 1 && len(e.tx) > 1 {
-		e.parallelResolve()
-	} else {
+	e.sweep(t, (*Engine).tileSendResolve)
+	for k := range ts.t {
+		tl := &ts.t[k]
+		e.tx = append(e.tx, tl.tx...)
+		e.dec = append(e.dec, tl.dec...)
+	}
+	// Counter-side transmission bookkeeping (PerNodeTx, message-size
+	// max) happened in sweep 1 on tile-owned state; only the per-event
+	// seams need this sequential pass.
+	if ob != nil || met != nil {
 		for _, v := range e.tx {
-			row := e.edges[e.rowStart[v]:e.rowEnd[v]]
-			for _, u := range row {
-				r := &e.rs[u]
-				if r.count == 0 {
-					r.count = 1
-					r.from = v
-					e.touched = append(e.touched, u)
-				} else if r.count > 0 {
-					r.count++
-					if v < r.from {
-						r.from = v
-					}
-				}
-				// count < 0: asleep (standing asleepCount) or
-				// transmitting (txMarker) — not a listener; the entry is
-				// left untouched, so there is nothing to restore.
+			if ob != nil {
+				ob.OnTransmit(t, NodeID(v), e.out[v])
+			}
+			if met != nil {
+				met.AddTransmission()
 			}
 		}
 	}
-
-	// Deliver phase: exactly-one rule at awake listeners (deliverOne).
-	// The delivered message is recovered from the sender's outbox (out
-	// is cleared only after this phase), so no per-receiver message
-	// scratch exists.
-	if e.cfg.Workers > 1 && ob == nil && len(e.touched) > 1 {
-		e.parallelDeliver(t)
-	} else {
-		var tl deliverTally
-		for _, u := range e.touched {
-			e.deliverOne(t, u, &tl, ob, met, nil)
-		}
-		tl.addTo(&e.res)
+	switch {
+	case e.med != nil:
+		e.mediumResolveDeliver(t, ob, met)
+	case e.hs != nil:
+		e.halfSlotResolveDeliver(t, ob, met)
+	default:
+		e.sweep(t, (*Engine).tileDeliver)
 	}
-	e.touched = e.touched[:0]
+
+	// Fold the per-tile tallies in tile order (sums are order-free).
+	e.res.Transmissions += int64(len(e.tx))
+	for k := range ts.t {
+		tl := &ts.t[k]
+		if tl.maxBits > e.res.MaxMessageBits {
+			e.res.MaxMessageBits = tl.maxBits
+		}
+		tl.deliverTally.addTo(&e.res)
+		tl.deliverTally, tl.maxBits = deliverTally{}, 0
+	}
+	// Decisions a batch leaves to Settle (the per-node adapter's) join
+	// the ones its Send calls reported.
+	e.dec = e.b.Settle(e.off, e.dec)
+	e.decide(t, ob, met)
+
+	// Transmitter cleanup. Runs after every deliver because a remote
+	// tile's deliver reads e.out[from] across the tile boundary.
 	for _, v := range e.tx {
 		e.out[v] = nil
 		e.rs[v].count = 0 // transmitters return to the awake-idle state
 	}
 	e.tx = e.tx[:0]
 
-	e.dec = e.b.Settle(e.off, e.dec)
-	decisions, _ := e.decide(t, e.dec, ob, met)
-	e.numDone += int(decisions)
-	e.dec = e.dec[:0]
-
 	return e.finishSlot(t, ob, met)
 }
 
-// decide records the decisions the Batch reported in slot t and
-// returns how many it recorded and how many of those nodes fell
-// permanently silent (tiled runs only). On a traced run OnDecide fires
-// in ascending node order, as in the reference engine, so dec is
-// sorted then if the Send and Settle reports interleave. Every write is
-// to the reported nodes' own entries, so tiles may call it
-// concurrently.
-func (e *Engine) decide(t int64, dec []int32, ob Observer, met *obs.Metrics) (decisions, silenced int64) {
+// decide records the decisions the Batch reported in slot t (e.dec)
+// and empties the list. On a traced run OnDecide fires in ascending
+// node order, as in the reference engine, so the list is sorted then
+// if the Send and Settle reports interleave.
+func (e *Engine) decide(t int64, ob Observer, met *obs.Metrics) {
+	dec := e.dec
 	if ob != nil && !ascending32(dec) {
 		slices.Sort(dec)
 	}
 	for _, v := range dec {
 		e.decided[v] = true
 		e.res.DecideSlot[v] = t
-		decisions++
+		e.numDone++
 		if ob != nil {
 			ob.OnDecide(t, NodeID(v))
 		}
@@ -539,15 +542,15 @@ func (e *Engine) decide(t int64, dec []int32, ob Observer, met *obs.Metrics) (de
 		if e.silent != nil {
 			if q, ok := e.cfg.Protocols[v].(Quiescent); ok && q.Quiescent() {
 				e.silent[v] = true
-				silenced++
+				e.silentCount++
 			}
 		}
 	}
-	return decisions, silenced
+	e.dec = dec[:0]
 }
 
-// wakePhase applies the slot's fault events and wake-ups: the shared
-// head of the untiled and tiled slot loops.
+// wakePhase applies the slot's churn batches, fault events and
+// wake-ups: the head of the slot loop.
 func (e *Engine) wakePhase(t int64, ob Observer, met *obs.Metrics) {
 	// Topology batches (joins/leaves/edge deltas) and fault events
 	// (crash/restart) take effect at the start of the slot, before any
@@ -577,7 +580,6 @@ func (e *Engine) wakePhase(t int64, ob Observer, met *obs.Metrics) {
 			}
 			e.everWoke[id] = true
 		}
-		e.awake[id] = true
 		e.rs[id].count = 0 // standing state flips from asleep to awake-idle
 		if ob != nil {
 			ob.OnWake(t, NodeID(id))
@@ -590,30 +592,46 @@ func (e *Engine) wakePhase(t int64, ob Observer, met *obs.Metrics) {
 		w++
 	}
 	if w > prevNext {
-		woken := e.order[prevNext:w]
 		// Newly woken ids go to a small pending list first; merging the
 		// whole awake list every slot of a long wake ramp would cost
-		// O(awake) per slot. The pending list is flushed once it exceeds
-		// an eighth of the merged list, so total merge work stays O(n)
-		// over any ramp while Send still walks mostly-ascending ids.
-		e.pending = append(e.pending, woken...)
+		// O(awake) per slot (mergePending).
+		e.pending = append(e.pending, e.order[prevNext:w]...)
 	}
 }
 
-// flushPending merges the pending wake-ups into the awake list when
-// force is set or the pending list has outgrown an eighth of it: the
-// untiled loops' merge policy (wakePhase explains the pending list).
-func (e *Engine) flushPending(force bool) {
-	if len(e.pending) > 0 &&
-		(force || len(e.pending) >= 256 && len(e.pending)*8 >= len(e.awakeList)) {
-		slices.Sort(e.pending)
+// mergePending keeps the pending list sorted and folds it into the
+// awake list when force is set or it has outgrown an eighth of it, so
+// total merge work stays O(n) over any wake ramp while Send still walks
+// ascending ids. The tile sweeps walk per-tile segments of both lists,
+// so pending must be sorted every slot it is non-empty. Re-sorting the
+// whole list each slot would dominate long wake ramps; instead the
+// sorted prefix length is tracked and only this slot's appended block
+// (one ascending wake run, plus any restart rejoins) is sorted and
+// merged in — O(|pending|) per slot.
+func (e *Engine) mergePending(force bool) {
+	if len(e.pending) == 0 {
+		return
+	}
+	if e.pendingSorted < len(e.pending) {
+		suffix := e.pending[e.pendingSorted:]
+		if !ascending32(suffix) {
+			slices.Sort(suffix)
+		}
+		if e.pendingSorted > 0 {
+			e.pendScratch = append(e.pendScratch[:0], suffix...)
+			e.pending = mergeSorted(e.pending[:e.pendingSorted], e.pendScratch)
+		}
+		e.pendingSorted = len(e.pending)
+	}
+	if force || len(e.pending) >= 256 && len(e.pending)*8 >= len(e.awakeList) {
 		e.awakeList = mergeSorted(e.awakeList, e.pending)
 		e.pending = e.pending[:0]
+		e.pendingSorted = 0
 	}
 }
 
-// finishSlot is the shared slot epilogue: end-of-slot seams, counters,
-// and the termination check.
+// finishSlot is the slot epilogue: end-of-slot seams, counters, and
+// the termination check.
 func (e *Engine) finishSlot(t int64, ob Observer, met *obs.Metrics) bool {
 	if ob != nil {
 		ob.OnSlot(t)
@@ -652,26 +670,9 @@ func (e *Engine) finishSlot(t int64, ob Observer, met *obs.Metrics) bool {
 	return e.slot < e.cfg.MaxSlots
 }
 
-// noteTx records one transmission: run counters, the maximum message
-// size, and the per-event seams. All of it is order-free (sums, maxes,
-// per-node counters), so it may run inside any Send sweep order.
-func (e *Engine) noteTx(t int64, v int32, msg Message, ob Observer, met *obs.Metrics) {
-	e.res.Transmissions++
-	e.res.PerNodeTx[v]++
-	if bits := msg.Bits(e.cfg.NEstimate); bits > e.res.MaxMessageBits {
-		e.res.MaxMessageBits = bits
-	}
-	if ob != nil {
-		ob.OnTransmit(t, NodeID(v), msg)
-	}
-	if met != nil {
-		met.AddTransmission()
-	}
-}
-
 // ascending32 reports whether ids is already sorted ascending — true
-// for every wake block, so the tiled loop's incremental pending merge
-// only pays for a sort when fault restarts interleaved with wakes.
+// for every wake block, so the incremental pending merge only pays for
+// a sort when fault restarts interleaved with wakes.
 func ascending32(ids []int32) bool {
 	for i := 1; i < len(ids); i++ {
 		if ids[i] < ids[i-1] {
@@ -703,149 +704,7 @@ func mergeSorted(dst, add []int32) []int32 {
 	return dst
 }
 
-// workerRanges splits [0, n) into at most workers contiguous ranges.
-func workerRanges(n, workers int) [][2]int {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var out [][2]int
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
-// parallelSend runs the Send phase over the awake list on Workers
-// goroutines, one batch call per contiguous range. Each worker fills
-// private lists; they are concatenated in worker order, so tx and dec
-// stay ascending.
-func (e *Engine) parallelSend(t int64) {
-	ranges := workerRanges(len(e.awakeList), e.cfg.Workers)
-	for len(e.lists) < len(ranges) {
-		e.lists = append(e.lists, workerLists{})
-	}
-	var wg sync.WaitGroup
-	for w, r := range ranges {
-		wg.Add(1)
-		go func(wl *workerLists, ids []int32) {
-			defer wg.Done()
-			wl.tx, wl.dec = e.b.Send(t, ids, e.skip, e.out, wl.tx[:0], wl.dec[:0])
-		}(&e.lists[w], e.awakeList[r[0]:r[1]])
-	}
-	wg.Wait()
-	for w := range ranges {
-		e.tx = append(e.tx, e.lists[w].tx...)
-		e.dec = append(e.dec, e.lists[w].dec...)
-	}
-}
-
-// parallelResolve partitions the transmitters' concatenated CSR rows
-// into contiguous ranges of roughly equal edge count, lets each worker
-// accumulate (count, lowest sender) into private zero-invariant scratch,
-// and merges the partial accumulators sequentially. The merged state is
-// independent of the partition because counts add and senders take the
-// minimum — both order-free — so the result is bit-identical to the
-// sequential resolve for any worker count.
-func (e *Engine) parallelResolve() {
-	workers := e.cfg.Workers
-	if e.scratch == nil {
-		e.scratch = make([]resolveScratch, 0, workers)
-	}
-	for len(e.scratch) < workers {
-		e.scratch = append(e.scratch, resolveScratch{
-			rs: make([]recvSlot, e.n),
-		})
-	}
-
-	// Partition tx at row granularity by cumulative edge count.
-	total := 0
-	for _, v := range e.tx {
-		total += int(e.rowEnd[v] - e.rowStart[v])
-	}
-	target := (total + workers - 1) / workers
-	if target < 1 {
-		target = 1
-	}
-	type span struct{ lo, hi int }
-	var spans []span
-	lo, acc := 0, 0
-	for i, v := range e.tx {
-		acc += int(e.rowEnd[v] - e.rowStart[v])
-		if acc >= target && len(spans) < workers-1 {
-			spans = append(spans, span{lo, i + 1})
-			lo, acc = i+1, 0
-		}
-	}
-	if lo < len(e.tx) {
-		spans = append(spans, span{lo, len(e.tx)})
-	}
-
-	var wg sync.WaitGroup
-	for w, s := range spans {
-		wg.Add(1)
-		go func(ws *resolveScratch, txs []int32) {
-			defer wg.Done()
-			ws.touched = ws.touched[:0]
-			for _, v := range txs {
-				row := e.edges[e.rowStart[v]:e.rowEnd[v]]
-				for _, u := range row {
-					r := &ws.rs[u]
-					if r.count == 0 {
-						if !e.awake[u] {
-							r.count = asleepCount
-							ws.cleared = append(ws.cleared, u)
-							continue
-						}
-						r.count = 1
-						r.from = v
-						ws.touched = append(ws.touched, u)
-					} else {
-						r.count++
-						if v < r.from {
-							r.from = v
-						}
-					}
-				}
-			}
-		}(&e.scratch[w], e.tx[s.lo:s.hi])
-	}
-	wg.Wait()
-
-	// Deterministic merge in worker order; each worker entry is zeroed as
-	// it is folded in, restoring the workers' count == 0 invariant.
-	for w := range spans {
-		ws := &e.scratch[w]
-		for _, u := range ws.touched {
-			p := &ws.rs[u]
-			r := &e.rs[u]
-			if r.count == 0 {
-				*r = *p
-				e.touched = append(e.touched, u)
-			} else {
-				r.count += p.count
-				if p.from < r.from {
-					r.from = p.from
-				}
-			}
-			p.count = 0
-		}
-		for _, u := range ws.cleared {
-			ws.rs[u].count = 0
-		}
-		ws.cleared = ws.cleared[:0]
-	}
-}
-
-// deliverTally is one worker's (or tile's) share of the deliver-phase
-// counters.
+// deliverTally is one tile's share of the deliver-phase counters.
 type deliverTally struct {
 	deliveries, collisions, jammed, lost int64
 }
@@ -856,36 +715,6 @@ func (tl *deliverTally) addTo(res *Result) {
 	res.Collisions += tl.collisions
 	res.Jammed += tl.jammed
 	res.Lost += tl.lost
-}
-
-// parallelDeliver partitions the touched receivers across workers. A
-// receiver appears in touched exactly once (the first-touch count
-// dedupes), so no two workers ever call the same protocol, and all
-// per-receiver inputs (the rs accumulator, out, the fault coins) are
-// read-only pure data. Counter partials are summed in worker order;
-// sums are order-free, so the totals match the sequential deliver
-// exactly. Only taken when Config.Observer is nil: a traced run keeps
-// the sequential path so its event stream stays fully ordered.
-func (e *Engine) parallelDeliver(t int64) {
-	met := e.cfg.Metrics
-	ranges := workerRanges(len(e.touched), e.cfg.Workers)
-	tallies := make([]deliverTally, len(ranges))
-	var wg sync.WaitGroup
-	for w, r := range ranges {
-		wg.Add(1)
-		go func(w int, us []int32) {
-			defer wg.Done()
-			var tl deliverTally // local, so workers share no cache line
-			for _, u := range us {
-				e.deliverOne(t, u, &tl, nil, met, nil)
-			}
-			tallies[w] = tl
-		}(w, e.touched[r[0]:r[1]])
-	}
-	wg.Wait()
-	for i := range tallies {
-		tallies[i].addTo(&e.res)
-	}
 }
 
 // Result returns the statistics accumulated so far. It is valid after
@@ -920,7 +749,7 @@ func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
 
-// cancelCheckMask gates the cancellation poll in the run loops: the
+// cancelCheckMask gates the cancellation poll in the run loop: the
 // context is consulted once every 1024 slots, keeping the select off
 // the per-slot hot path (a full slot simulates n Send calls, so 1024
 // slots bound the cancellation latency to well under a millisecond of
@@ -934,6 +763,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.run(ctx)
+}
+
+// run steps the engine to completion, polling ctx every 1024 slots.
+func (e *Engine) run(ctx context.Context) (*Result, error) {
 	done := ctx.Done()
 	for e.Step() {
 		if done != nil && e.slot&cancelCheckMask == 0 {

@@ -36,15 +36,11 @@ type faultState struct {
 }
 
 // newFaultState validates the injector against the run and prepares
-// the mutable state. Skew profiles are rejected here for the aligned
-// engine; RunUnaligned (which models the half-slot offsets) passes
-// allowSkew.
-func newFaultState(inj *fault.Injector, cfg *Config, n int, allowSkew bool) (*faultState, error) {
+// the mutable state. A skew profile's offsets are taken up by the
+// engine (newEngine).
+func newFaultState(inj *fault.Injector, cfg *Config, n int) (*faultState, error) {
 	if inj.N() != n {
 		return nil, fmt.Errorf("radio: fault injector compiled for %d nodes, graph has %d", inj.N(), n)
-	}
-	if !allowSkew && inj.HasSkew() {
-		return nil, fmt.Errorf("radio: fault profile has clock skew; run it through RunUnaligned")
 	}
 	for _, ev := range inj.Events() {
 		if ev.Kind == fault.EventRestart {
@@ -89,10 +85,7 @@ func (e *Engine) faultBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 			if ev.Final && !e.decided[v] {
 				fs.neverDone++
 			}
-			if e.awake[v] {
-				e.awake[v] = false
-				e.rs[v].count = asleepCount
-			}
+			e.rs[v].count = asleepCount
 			continue
 		}
 		// Restart.
@@ -113,7 +106,6 @@ func (e *Engine) faultBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 		if wasWoke {
 			e.cfg.Protocols[v].(Restartable).Reset()
 		}
-		e.awake[v] = true
 		e.rs[v].count = 0
 		e.everWoke[v] = true
 		if ob != nil {
@@ -132,8 +124,8 @@ func (e *Engine) faultBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 			e.rejoin = append(e.rejoin, v)
 		}
 	}
-	// The pending list is sorted at flush time, so insertion order is
-	// free.
+	// The pending list is sorted before the sweeps, so insertion order
+	// is free.
 	e.pending = append(e.pending, e.rejoin...)
 }
 
@@ -159,8 +151,8 @@ func (fs *faultState) suppression(t int64, from, to int32) int {
 }
 
 // faultSuppressed applies the suppression check to one reception,
-// counting the outcome into the given tallies (the sequential path
-// passes Result fields, the parallel path its worker-private tally).
+// counting the outcome into the given tallies (the slot-wide passes
+// hand in Result fields, the tile sweeps their tile's tally).
 func (e *Engine) faultSuppressed(t int64, from, to int32, jammed, lost *int64, met *obs.Metrics) bool {
 	switch e.fs.suppression(t, from, to) {
 	case suppressJam:

@@ -214,13 +214,68 @@ func TestFaultInjectorWrongSize(t *testing.T) {
 	}
 }
 
-func TestFaultSkewRejectedByAlignedEngine(t *testing.T) {
-	g := line(2)
-	_, cfg := buildScripted(g, [][]bool{nil, nil}, WakeSynchronous(2))
-	cfg.Faults = mustInjector(t, &fault.Profile{SkewProb: 0.5}, 2)
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("aligned engine accepted a clock-skew profile; it must route through RunUnaligned")
+// TestFaultSkewRunsThroughEngine pins the skew contract: a clock-skew
+// profile switches the ordinary engine to the half-slot rule, so Run
+// equals RunUnaligned with the profile's offsets, field for field and
+// in every protocol's receptions.
+func TestFaultSkewRunsThroughEngine(t *testing.T) {
+	n := 40
+	inj := mustInjector(t, &fault.Profile{
+		Seed: 3, Loss: 0.1, SkewProb: 0.5,
+		Crashes: []fault.Crash{{Node: 6, At: 30}},
+	}, n)
+	run := func(unaligned bool) (*Result, []int64) {
+		protos := make([]Protocol, n)
+		rps := make([]*randProto, n)
+		for i := range protos {
+			rps[i] = &randProto{id: NodeID(i), rng: NodeRand(77, NodeID(i)), p: 0.25, limit: 300}
+			protos[i] = rps[i]
+		}
+		cfg := Config{G: line(n), Protocols: protos, Wake: WakeUniform(n, 40, 5), Faults: inj}
+		var res *Result
+		var err error
+		if unaligned {
+			res, err = RunUnaligned(cfg, nil)
+		} else {
+			res, err = Run(cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx := make([]int64, n)
+		for i, r := range rps {
+			rx[i] = r.rxSum
+		}
+		return res, rx
 	}
+	res, rx := run(false)
+	want, wantRx := run(true)
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("Run with a skew profile diverged from RunUnaligned\n run:       %+v\n unaligned: %+v", res, want)
+	}
+	if !reflect.DeepEqual(rx, wantRx) {
+		t.Fatal("receptions diverged between Run and RunUnaligned")
+	}
+	if res.Deliveries == 0 || res.Collisions == 0 || res.Lost == 0 {
+		t.Fatalf("vacuous skew run: %+v", res)
+	}
+	// Explicit offsets win over the profile's.
+	aligned, err := RunUnaligned(Config{G: line(n), Protocols: freshRand(n), Wake: WakeUniform(n, 40, 5), Faults: inj}, make([]int8, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(aligned, want) {
+		t.Fatal("explicit offsets were ignored in favour of the profile's")
+	}
+}
+
+// freshRand returns n randProto instances on the test's fixed seed.
+func freshRand(n int) []Protocol {
+	protos := make([]Protocol, n)
+	for i := range protos {
+		protos[i] = &randProto{id: NodeID(i), rng: NodeRand(77, NodeID(i)), p: 0.25, limit: 300}
+	}
+	return protos
 }
 
 func TestFaultRestartNeedsRestartable(t *testing.T) {
@@ -249,9 +304,9 @@ func (p *fixedProto) Done() bool          { return p.done }
 // Reset implements Restartable for the beacon protocol.
 func (b *beaconProto) Reset() { b.beat = 0 }
 
-// TestFaultSeamZeroAlloc pins the fault seam's steady state on the
-// sequential untiled loop, where the off filter lives in the plain
-// wake, send and decide sweeps: with loss, a jammer and crash/restart
+// TestFaultSeamZeroAlloc pins the fault seam's steady state on one
+// tile and one worker, where the off filter lives in the plain wake,
+// send and decide sweeps: with loss, a jammer and crash/restart
 // events all firing inside the measured window, a slot allocates
 // nothing.
 func TestFaultSeamZeroAlloc(t *testing.T) {

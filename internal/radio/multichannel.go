@@ -11,12 +11,10 @@ import (
 // with per-slot uniform random hopping (see medium.MultiChannel for the
 // model and what experiment E21 measures with it). channels must be
 // ≥ 1; channels == 1 reproduces Run exactly. The run goes through the
-// standard kernel with a medium.MultiChannel instance bound on the
-// reception seam, so — unlike the bespoke engine this helper once
-// carried — Workers parallelism, fault profiles (Config.Faults) and the
-// metrics/observer seams all compose with the channel hopping. Skew
-// profiles are still rejected: they need RunUnaligned, which has no
-// medium seam.
+// engine's slot loop with a medium.MultiChannel instance bound on the
+// reception seam, so Workers and Tiles, fault profiles (Config.Faults)
+// and the metrics/observer seams all compose with the channel hopping.
+// Skew profiles are rejected: the half-slot rule owns reception.
 func RunMultiChannel(cfg Config, channels int, hopSeed int64) (*Result, error) {
 	if channels < 1 {
 		return nil, fmt.Errorf("radio: %d channels", channels)

@@ -79,7 +79,8 @@ func TestMultiChannelWorkers(t *testing.T) {
 
 // TestMultiChannelFaults is the regression for the old engine's silent
 // bug: RunMultiChannel used to ignore Config.Faults entirely. Loss and
-// crash profiles must now compose; skew must be rejected loudly.
+// crash profiles must now compose; skew must be rejected loudly, since
+// the half-slot rule and the medium would both decide reception.
 func TestMultiChannelFaults(t *testing.T) {
 	prof, err := fault.ParseProfile("loss=0.3,seed=5")
 	if err != nil {
@@ -117,7 +118,7 @@ func TestMultiChannelFaults(t *testing.T) {
 	}
 	if _, err := radio.RunMultiChannel(cfg, 4, 21); err == nil {
 		t.Error("skew profile silently accepted on the multi-channel path")
-	} else if !strings.Contains(err.Error(), "RunUnaligned") {
-		t.Errorf("skew rejection should point at RunUnaligned, got: %v", err)
+	} else if !strings.Contains(err.Error(), "half-slot rule owns reception") {
+		t.Errorf("skew rejection should name the half-slot rule's ownership of reception, got: %v", err)
 	}
 }

@@ -78,7 +78,7 @@ func (p *outboxProto) Recv(slot int64, msg radio.Message) {
 		p.expire(slot)
 	}
 	m := msg.(*stampMsg)
-	// The half-slot loop delivers slot t's messages during slot t+1.
+	// The half-slot rule delivers slot t's messages during slot t+1.
 	if m.stamp != slot && m.stamp != slot-1 {
 		p.stale++
 	}

@@ -29,8 +29,8 @@ import (
 var simulatedSlots atomic.Int64
 
 // SimulatedSlots returns the process-wide number of simulated slots.
-// The counter is monotonic and shared by every slot loop (untiled,
-// tiled, unaligned and reference); rate reporting samples it over time.
+// The counter is monotonic and shared by both slot loops (the engine's
+// and the reference); rate reporting samples it over time.
 func SimulatedSlots() int64 { return simulatedSlots.Load() }
 
 // NodeID identifies a node. IDs are indices into the network graph, but
@@ -67,7 +67,7 @@ type Protocol interface {
 	// A message returned by Send(t) must stay valid (unchanged) through
 	// slot t+1; from slot t+2 on the protocol may reuse its storage, so
 	// two alternating buffers indexed by t&1 suffice and transmitting
-	// needs no allocation. The half-slot loop (RunUnaligned) needs the
+	// needs no allocation. The half-slot rule (RunUnaligned) needs the
 	// extra slot: it delivers slot t's messages during slot t+1, after
 	// the sender's next Send. In return, no loop, medium or Observer
 	// keeps a message past slot t+1.

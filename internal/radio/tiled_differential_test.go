@@ -18,14 +18,15 @@ import (
 // reorders every per-slot accumulation — tile-major sweeps, a boundary
 // exchange for cross-tile edges, per-tile counter tallies — and all of
 // it is claimed order-free, so the contract is strict: for any tile and
-// worker count the tiled engine's Result and protocol outcomes are
-// bit-identical to the untiled kernel, with every seam (faults, loss
-// and capture coins, observers, media fallback) composed. The second axis
+// worker count the engine's Result and protocol outcomes are
+// bit-identical to the one-tile run, with every seam (faults, clock
+// skew, loss and capture coins, observers, media) composed. The second axis
 // pins the relabeling pass: a run on a permuted graph, mapped back
 // through the inverse permutation, is byte-identical to the original.
 
-// runTiledVariant is runVariant with a tile count: tiles == 0 is the
-// untiled kernel, tiles > 1 the tiled one, -1 lets the engine choose.
+// runTiledVariant is runVariant with a tile count: tiles == 0 is one
+// tile (or one per worker), tiles > 1 fixes the count, -1 lets the
+// engine choose.
 func runTiledVariant(t *testing.T, c diffCase, workers, tiles int) (*radio.Result, []int32, []int32) {
 	t.Helper()
 	par := diffParams(c.g)
@@ -66,8 +67,8 @@ var tiledVariants = []struct {
 
 // TestTiledDifferentialMatchesUntiled is the headline pin: over the
 // full graph × wakeup-schedule × seed matrix (plus loss and capture
-// coin cases; a capture medium runs the untiled loop at any Tiles), the
-// tiled kernel is bit-identical to the untiled one at
+// coin cases; a capture medium resolves each slot in one pass at any
+// Tiles), the engine is bit-identical to its one-tile run at
 // every tile and worker count — Result, colors, and intra-cluster
 // colors all DeepEqual.
 func TestTiledDifferentialMatchesUntiled(t *testing.T) {
@@ -83,13 +84,13 @@ func TestTiledDifferentialMatchesUntiled(t *testing.T) {
 			for _, v := range tiledVariants {
 				res, colors, tcs := runTiledVariant(t, c, v.workers, v.tiles)
 				if !reflect.DeepEqual(res, baseRes) {
-					t.Fatalf("%s: Result diverged from untiled kernel\n base: %+v\n got:  %+v", v.label, baseRes, res)
+					t.Fatalf("%s: Result diverged from the one-tile run\n base: %+v\n got:  %+v", v.label, baseRes, res)
 				}
 				if !reflect.DeepEqual(colors, baseColors) {
-					t.Fatalf("%s: colors diverged from untiled kernel", v.label)
+					t.Fatalf("%s: colors diverged from the one-tile run", v.label)
 				}
 				if !reflect.DeepEqual(tcs, baseTCs) {
-					t.Fatalf("%s: intra-cluster colors diverged from untiled kernel", v.label)
+					t.Fatalf("%s: intra-cluster colors diverged from the one-tile run", v.label)
 				}
 			}
 			if baseRes.Deliveries == 0 {
@@ -105,8 +106,8 @@ func TestTiledDifferentialMatchesUntiled(t *testing.T) {
 // boundary-exchange fold) is most likely to drift from the single-pass
 // accumulation: count sums crossing txMarker/asleep sentinels, lowest-
 // sender selection across tiles. The capture arm composes the graph
-// medium's two-way capture coin, which takes the untiled loop at any
-// tile count.
+// medium's two-way capture coin, which resolves each slot in one pass
+// at any tile count.
 func TestTiledScriptedCollisions(t *testing.T) {
 	for _, seed := range []int64{3, 9, 27} {
 		g := erdosRenyi(40, 0.15, seed)
@@ -155,6 +156,13 @@ func TestTiledScriptedCollisions(t *testing.T) {
 // runFaultedTiled is runFaulted with a tile count.
 func runFaultedTiled(t *testing.T, c diffCase, prof *fault.Profile, workers, tiles int) (*radio.Result, []int32) {
 	t.Helper()
+	return runFaultedWith(t, c, prof, workers, tiles, radio.Run)
+}
+
+// runFaultedWith is runFaultedTiled through the given entry point.
+func runFaultedWith(t *testing.T, c diffCase, prof *fault.Profile, workers, tiles int,
+	run func(radio.Config) (*radio.Result, error)) (*radio.Result, []int32) {
+	t.Helper()
 	par := diffParams(c.g)
 	nodes, protos := core.Nodes(c.g.N(), c.seed, par, core.Ablation{})
 	cfg := radio.Config{
@@ -169,7 +177,7 @@ func runFaultedTiled(t *testing.T, c diffCase, prof *fault.Profile, workers, til
 		}
 		cfg.Faults = inj
 	}
-	res, err := radio.Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatalf("%s workers=%d tiles=%d: %v", c.name, workers, tiles, err)
 	}
@@ -180,12 +188,18 @@ func runFaultedTiled(t *testing.T, c diffCase, prof *fault.Profile, workers, til
 	return res, colors
 }
 
+// runUnaligned is RunUnaligned with the offsets of cfg's skew profile.
+func runUnaligned(cfg radio.Config) (*radio.Result, error) { return radio.RunUnaligned(cfg, nil) }
+
 // TestTiledDifferentialWithFaults composes every fault class at once —
 // i.i.d. loss, burst fading, final crashes, a crash+restart, and a
 // probabilistic jammer — and pins the tiled engine to the untiled one.
 // The fault coins hash (seed, slot, link), so they must land in exactly
 // the same receptions however the deliver work is partitioned; crash
 // and restart events apply in the shared wake phase before the sweeps.
+// The same profile with clock skew added runs the half-slot rule after
+// the tiles' Send sweep: it must be bit-identical at Tiles {0, 4} ×
+// Workers {1, 4} and equal RunUnaligned with the profile's offsets.
 func TestTiledDifferentialWithFaults(t *testing.T) {
 	cases := diffCases(t)[:10]
 	for _, c := range cases {
@@ -206,6 +220,22 @@ func TestTiledDifferentialWithFaults(t *testing.T) {
 			if baseRes.Lost == 0 && baseRes.Jammed == 0 && baseRes.Crashes == 0 {
 				t.Fatal("chaos profile injected nothing; test is vacuous")
 			}
+
+			skew := chaosProfile(c.seed)
+			skew.SkewProb = 0.5
+			skewRes, skewCol := runFaultedWith(t, c, skew, 1, 0, runUnaligned)
+			for _, v := range []struct{ workers, tiles int }{{1, 0}, {1, 4}, {4, 0}, {4, 4}} {
+				res, col := runFaultedTiled(t, c, skew, v.workers, v.tiles)
+				if !reflect.DeepEqual(res, skewRes) {
+					t.Fatalf("skew w%d/t%d: Result diverged from RunUnaligned\n base: %+v\n got:  %+v", v.workers, v.tiles, skewRes, res)
+				}
+				if !reflect.DeepEqual(col, skewCol) {
+					t.Fatalf("skew w%d/t%d: colors diverged from RunUnaligned", v.workers, v.tiles)
+				}
+			}
+			if reflect.DeepEqual(skewRes, baseRes) || skewRes.Deliveries == 0 {
+				t.Fatal("skew changed nothing; skew differential is vacuous")
+			}
 		})
 	}
 }
@@ -213,11 +243,12 @@ func TestTiledDifferentialWithFaults(t *testing.T) {
 // TestTiledQuiescenceDifferential pins the Quiescent seam on the
 // synthetic bench protocol (the workload the headline speedup is
 // measured on): nodes decide mid-run and declare permanent silence, the
-// tiled engine drops them from the Send sweep and skips their Recv
-// calls, and every Result field must still match the untiled kernel —
-// which keeps ticking them — across all five wakeup schedules. Protocol
-// state is deliberately NOT compared: a quiescent node's recv counter
-// stops, which is exactly the behavior independence the seam declares.
+// engine drops them from the Send sweep and skips their Recv calls, and
+// every Result field must still match a run whose protocols hide the
+// seam — which keeps ticking them — across all five wakeup schedules
+// and at one tile and several. Protocol state is deliberately NOT
+// compared: a quiescent node's recv counter stops, which is exactly the
+// behavior independence the seam declares.
 func TestTiledQuiescenceDifferential(t *testing.T) {
 	const n = 2000
 	const slots = 3000
@@ -231,9 +262,15 @@ func TestTiledQuiescenceDifferential(t *testing.T) {
 			// the budget (sequential's span is n·p/8), so nodes decide
 			// mid-run and the quiescent tail is long.
 			wake := pat.Make(n, 6, 5)
-			run := func(workers, tiles int) *radio.Result {
+			run := func(workers, tiles int, hide bool) *radio.Result {
+				protos := w.protocols()
+				if hide {
+					for i, p := range protos {
+						protos[i] = plainProto{p}
+					}
+				}
 				cfg := radio.Config{
-					G: d.G, Protocols: w.protocols(), Wake: wake,
+					G: d.G, Protocols: protos, Wake: wake,
 					MaxSlots: slots, NEstimate: n,
 					Workers: workers, Tiles: tiles,
 				}
@@ -243,12 +280,12 @@ func TestTiledQuiescenceDifferential(t *testing.T) {
 				}
 				return res
 			}
-			base := run(1, 0)
+			base := run(1, 0, true)
 			for _, v := range []struct {
 				label          string
 				workers, tiles int
-			}{{"w1/t4", 1, 4}, {"w4/t4", 4, 4}, {"w4/t13", 4, 13}} {
-				if got := run(v.workers, v.tiles); !reflect.DeepEqual(got, base) {
+			}{{"w1/t0", 1, 0}, {"w1/t4", 1, 4}, {"w4/t4", 4, 4}, {"w4/t13", 4, 13}} {
+				if got := run(v.workers, v.tiles, false); !reflect.DeepEqual(got, base) {
 					t.Fatalf("%s: quiescent tiled run diverged\n base: %+v\n got:  %+v", v.label, base, got)
 				}
 			}
@@ -267,6 +304,10 @@ func TestTiledQuiescenceDifferential(t *testing.T) {
 	}
 }
 
+// plainProto hides every method of a protocol beyond radio.Protocol,
+// Quiescent included.
+type plainProto struct{ radio.Protocol }
+
 // slotEvent is one observer callback for the event-stream differential.
 type slotEvent struct {
 	kind string
@@ -275,8 +316,8 @@ type slotEvent struct {
 	n    int
 }
 
-// recObserver records every callback. The tiled engine guarantees
-// wake, transmit, decide and slot events in exactly the untiled order;
+// recObserver records every callback. A multi-tile run emits wake,
+// transmit, decide and slot events in exactly the one-tile order;
 // deliver and collision events are emitted per tile, so they are
 // compared as within-slot multisets (the documented divergence).
 type recObserver struct {
@@ -320,9 +361,10 @@ func sortEvents(evs []slotEvent) {
 }
 
 // TestTiledObserverEvents pins the traced path: a non-nil Observer
-// forces both sweeps sequential, wake/transmit/decide/slot streams are
-// byte-identical to the untiled engine, and deliver/collision streams
-// agree as within-slot multisets.
+// forces both sweeps sequential (and Tiles 0 to one tile, even at
+// Workers 4), wake/transmit/decide/slot streams are byte-identical to
+// the one-tile run, and deliver/collision streams agree as within-slot
+// multisets.
 func TestTiledObserverEvents(t *testing.T) {
 	c := diffCases(t)[0]
 	run := func(tiles int) (*radio.Result, *recObserver) {
@@ -363,8 +405,9 @@ func TestTiledObserverEvents(t *testing.T) {
 
 // TestTiledMediumFallsBack pins the documented composition with the
 // reception-model seam: a pluggable medium owns slot resolution, so a
-// tiled Config with Medium set silently runs the untiled loop and must
-// be bit-identical to the same Config without tiles.
+// tiled Config with Medium set splits only the Send sweep, resolves the
+// slot in one pass, and must be bit-identical to the same Config
+// without tiles.
 func TestTiledMediumFallsBack(t *testing.T) {
 	d := topology.UDGWithTargetDegree(60, 8, 13)
 	n := d.G.N()

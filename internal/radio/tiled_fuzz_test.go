@@ -55,7 +55,7 @@ func FuzzTilePartition(f *testing.F) {
 		}
 		g := perm.Apply(b.Build())
 		csr := g.CSR()
-		ts := newTileState(tiles, n, csr.Offsets[:n], csr.Offsets[1:], csr.Edges)
+		ts := newTileState(tiles, n, csr.Offsets[:n], csr.Offsets[1:], csr.Edges, true)
 
 		if int(ts.size)*ts.tiles < n {
 			t.Fatalf("tiles cover %d nodes, graph has %d", int(ts.size)*ts.tiles, n)

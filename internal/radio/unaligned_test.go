@@ -190,11 +190,11 @@ func TestUnalignedCollisionCountedOncePerListener(t *testing.T) {
 	}
 }
 
-// TestUnalignedStepZeroAlloc pins the half-slot loop's steady state:
-// its transmission records live in two buffers that swap every slot,
-// and Send and decisions go through the batch over the awake list, so
-// a slot with traffic, loss and a crash/restart inside the window
-// allocates nothing.
+// TestUnalignedStepZeroAlloc pins the half-slot rule's steady state
+// inside Engine.Step: its transmission records live in two buffers that
+// swap every slot, and Send and decisions go through the batch over the
+// awake list, so a slot with traffic, loss and a crash/restart inside
+// the window allocates nothing.
 func TestUnalignedStepZeroAlloc(t *testing.T) {
 	n := 32
 	protos := make([]Protocol, n)
@@ -205,20 +205,21 @@ func TestUnalignedStepZeroAlloc(t *testing.T) {
 		Seed: 5, Loss: 0.2, SkewProb: 0.5,
 		Crashes: []fault.Crash{{Node: 9, At: 100, Restart: 300}},
 	}, n)
-	e, err := newEngine(Config{
+	e, err := NewEngine(Config{
 		G: line(n), Protocols: protos, Wake: WakeUniform(n, 20, 3),
 		MaxSlots: 1 << 40, Faults: inj,
-	}, true)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := &unaligned{e: e, offsets: inj.SkewOffsets(n)}
-	u.init()
-	for e.Slot() < 40 { // past the wake ramp
-		u.step()
+	if e.hs == nil {
+		t.Fatal("skew profile did not select the half-slot rule")
 	}
-	if allocs := testing.AllocsPerRun(500, func() { u.step() }); allocs != 0 {
-		t.Errorf("half-slot loop allocates %v per slot, want 0", allocs)
+	for e.Slot() < 40 { // past the wake ramp
+		e.Step()
+	}
+	if allocs := testing.AllocsPerRun(500, func() { e.Step() }); allocs != 0 {
+		t.Errorf("half-slot slot allocates %v per slot, want 0", allocs)
 	}
 	res := e.Result()
 	if res.Transmissions == 0 || res.Deliveries == 0 || res.Lost == 0 || res.Restarts != 1 {

@@ -70,12 +70,12 @@ type JobRequest struct {
 	ParamScale float64 `json:"param_scale,omitempty"`
 	// MaxSlots caps the simulation (0 = automatic budget).
 	MaxSlots int64 `json:"max_slots,omitempty"`
-	// Workers parallelizes the simulator's phases.
+	// Workers runs the simulator's tiles on that many goroutines.
 	Workers int `json:"workers,omitempty"`
-	// Tiling selects the tiled slot kernel: -1 picks the tile count
+	// Tiling selects the tile count of the slot loop: -1 picks it
 	// automatically for the job's size, ≥2 forces that many tiles, 0
-	// (default) and 1 keep the untiled loop. Results are bit-identical
-	// either way; tiling only changes throughput at scale.
+	// (default) and 1 run one tile (or one per worker). Results are
+	// bit-identical either way; tiling only changes throughput at scale.
 	Tiling int `json:"tiling,omitempty"`
 	// Metrics attaches an Outcome.Stats snapshot to the result.
 	Metrics bool `json:"metrics,omitempty"`

@@ -74,25 +74,27 @@ type Options struct {
 	ParamScale float64
 	// MaxSlots caps the simulation (0 = automatic generous budget).
 	MaxSlots int64
-	// Workers > 1 runs the simulator's send phase on several
-	// goroutines. Results are bit-identical to the sequential engine:
-	// every node owns an independent random stream, so the schedule of
-	// goroutines cannot leak into the outcome.
+	// Workers > 1 runs the simulator's tiles on several goroutines; with
+	// Tiling 0 or 1 an untraced run is cut into Workers tiles. Results
+	// are bit-identical to one worker: every node owns an independent
+	// random stream and every merge across tiles is order-free, so the
+	// schedule of goroutines cannot leak into the outcome.
 	Workers int
 
-	// Tiling selects the tiled cache-blocked slot kernel for large
-	// runs: -1 lets the engine pick a tile count (~32k-node tiles),
-	// values > 1 fix it, and 0 (the default) keeps the classic untiled
-	// kernel. It changes speed, not results: at any Workers count a
-	// tiled run's Outcome equals the Tiling=0 run's, and so do its
-	// Observer events and Trace records up to their order within a
-	// slot. The run stores the nodes along the shared locality pass (a
-	// Hilbert curve when node positions are known, BFS order otherwise)
-	// so that tiles are spatially contiguous, but every node keeps its
-	// caller id as its identity — wire id, random stream, wake slot,
-	// fault coins and churn events — and everything reported speaks
-	// caller ids. A Medium or clock-skew faults keep the untiled loop
-	// (those paths own slot resolution), which ignores the knob.
+	// Tiling cuts the slot loop into cache-sized tiles for large runs:
+	// -1 lets the engine pick a tile count (~32k-node tiles), values > 1
+	// fix it, and 0 (the default) runs one tile, or one per worker. It
+	// changes speed, not results: at any Workers count a tiled run's
+	// Outcome equals the Tiling=0 run's, and so do its Observer events
+	// and Trace records up to their order within a slot. A tiled run
+	// stores the nodes along the shared locality pass (a Hilbert curve
+	// when node positions are known, BFS order otherwise) so that tiles
+	// are spatially contiguous, but every node keeps its caller id as
+	// its identity — wire id, random stream, wake slot, fault coins and
+	// churn events — and everything reported speaks caller ids. Under a
+	// Medium or clock-skew faults the nodes keep the caller's order and
+	// the tiles only split the Send sweep: the medium or the half-slot
+	// rule resolves each slot in one pass over all transmitters.
 	Tiling int
 
 	// Measured, when non-nil, supplies precomputed graph parameters
@@ -221,7 +223,7 @@ func (o Options) Validate() error {
 			return fmt.Errorf("radiocolor: %w", err)
 		}
 		if o.Faults != nil && o.Faults.SkewProb > 0 {
-			return errors.New("radiocolor: a Medium cannot combine with clock-skew faults (the half-slot engine has no medium seam)")
+			return errors.New("radiocolor: a Medium cannot combine with clock-skew faults (the half-slot rule owns reception)")
 		}
 	}
 	if c := o.Churn; c.active() {
@@ -239,7 +241,7 @@ func (o Options) Validate() error {
 			return errors.New("radiocolor: Churn cannot combine with a Medium (media bind to a static graph)")
 		}
 		if o.Faults != nil && o.Faults.SkewProb > 0 {
-			return errors.New("radiocolor: Churn cannot combine with clock-skew faults (the half-slot engine has no churn seam)")
+			return errors.New("radiocolor: Churn cannot combine with clock-skew faults (the half-slot rule reads a static neighbor view)")
 		}
 		// Checked here, in caller ids, rather than by the engine, which
 		// would name a tiled run's engine slot.

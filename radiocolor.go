@@ -250,9 +250,10 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 	// wire id, random stream, wake slot, fault coins and churn events —
 	// stays keyed on the caller's label v, and everything the caller
 	// sees is mapped back through the inverse permutation, so tiling
-	// changes speed, never the result. Media and clock skew never tile
-	// (their resolvers own the slot loop), so those runs keep the
-	// caller's order.
+	// changes speed, never the result. Media and clock skew never
+	// relabel: a medium or the half-slot rule resolves each slot in one
+	// pass over all transmitters, so locality buys them nothing, and
+	// those runs keep the caller's order.
 	runG := g
 	var tilePerm *graph.Permutation
 	if opt.Tiling != 0 && opt.Tiling != 1 && opt.Medium == nil &&
@@ -433,15 +434,9 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 		Medium:    med,
 		Churn:     runPlan,
 	}
-	var res *radio.Result
-	var err error
-	if inj != nil && inj.HasSkew() {
-		// Clock skew runs through the half-slot engine; the injector
-		// supplies the per-node offsets.
-		res, err = radio.RunUnalignedContext(ctx, cfg, nil)
-	} else {
-		res, err = radio.RunContext(ctx, cfg)
-	}
+	// A clock-skew profile switches the engine to the half-slot rule;
+	// the injector supplies the per-node offsets.
+	res, err := radio.RunContext(ctx, cfg)
 	if tracer != nil {
 		if ferr := tracer.Flush(); ferr != nil && err == nil {
 			err = fmt.Errorf("radiocolor: %w", ferr)
