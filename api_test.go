@@ -9,8 +9,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"radiocolor/internal/obs"
+	"radiocolor/internal/topology"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -158,6 +160,50 @@ func TestColorGraphContextCancel(t *testing.T) {
 	if out != nil {
 		t.Fatal("canceled run returned an outcome")
 	}
+}
+
+// TestColorGraphContextCancelDuringKappa: the κ measurement polls the
+// context too, so a canceled call on a 20k-node UDG returns promptly
+// instead of finishing the whole κ pass first.
+func TestColorGraphContextCancelDuringKappa(t *testing.T) {
+	g := topology.UDGWithTargetDegree(20000, 12, 1).G
+	adj := make([][]int, g.N())
+	for v := range adj {
+		for _, u := range g.Adj(v) {
+			adj[v] = append(adj[v], int(u))
+		}
+	}
+	const prompt = 500 * time.Millisecond
+	t.Run("canceled before the call", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		start := time.Now()
+		out, err := ColorGraphContext(ctx, adj, Options{})
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("got %v, %v; want nil, context.Canceled", out, err)
+		}
+		if d := time.Since(start); d > prompt {
+			t.Errorf("canceled call took %v", d)
+		}
+	})
+	t.Run("canceled during the call", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("timing-sensitive; skipped under -short")
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var canceledAt atomic.Int64
+		time.AfterFunc(30*time.Millisecond, func() {
+			canceledAt.Store(time.Now().UnixNano())
+			cancel()
+		})
+		out, err := ColorGraphContext(ctx, adj, Options{})
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("got %v, %v; want nil, context.Canceled", out, err)
+		}
+		if d := time.Duration(time.Now().UnixNano() - canceledAt.Load()); d > prompt {
+			t.Errorf("returned %v after the cancel", d)
+		}
+	})
 }
 
 func TestColorGraphContextComplete(t *testing.T) {

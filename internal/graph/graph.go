@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -189,19 +190,18 @@ func (g *Graph) Neighborhood(v int) []int32 {
 // TwoHop returns N²(v): all nodes within graph distance ≤ 2 of v
 // (including v), sorted.
 func (g *Graph) TwoHop(v int) []int32 {
-	seen := map[int32]bool{int32(v): true}
+	size := 1 + len(g.adj[v])
 	for _, u := range g.adj[v] {
-		seen[u] = true
-		for _, w := range g.adj[u] {
-			seen[w] = true
-		}
+		size += len(g.adj[u])
 	}
-	out := make([]int32, 0, len(seen))
-	for u := range seen {
+	out := make([]int32, 0, size)
+	out = append(out, int32(v))
+	for _, u := range g.adj[v] {
 		out = append(out, u)
+		out = append(out, g.adj[u]...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // KHop returns all nodes within graph distance ≤ k of v (including v),

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -147,15 +148,14 @@ func TestTwoHopAndKHop(t *testing.T) {
 			t.Fatalf("TwoHop(3) = %v", got)
 		}
 	}
-	for v := 0; v < 7; v++ {
-		k2 := g.KHop(v, 2)
-		t2 := g.TwoHop(v)
-		if len(k2) != len(t2) {
-			t.Fatalf("KHop(%d,2)=%v != TwoHop=%v", v, k2, t2)
-		}
-		for i := range k2 {
-			if k2[i] != t2[i] {
-				t.Fatalf("KHop(%d,2)=%v != TwoHop=%v", v, k2, t2)
+	graphs := []*Graph{g}
+	for seed := int64(0); seed < 30; seed++ {
+		graphs = append(graphs, randomGraph(50, 0.01+0.01*float64(seed%8), seed))
+	}
+	for gi, h := range graphs {
+		for v := 0; v < h.N(); v++ {
+			if k2, t2 := h.KHop(v, 2), h.TwoHop(v); !slices.Equal(k2, t2) {
+				t.Fatalf("graph %d: KHop(%d,2)=%v != TwoHop=%v", gi, v, k2, t2)
 			}
 		}
 	}

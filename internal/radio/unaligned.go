@@ -56,14 +56,16 @@ type halfSlot struct {
 	offsets []int8
 
 	// occ[u][h&7] counts transmitting neighbors of u in half-slot h;
-	// selfTx[u][h&7] marks u transmitting in h. Ring of 8 half-slots (a
-	// half is cleared 2–3 slots before it is resolved, so 4 would alias).
+	// selfTx[u][h&7] marks u transmitting in h. Ring of 8 half-slots:
+	// the entries of up to seven consecutive halves are live at once.
 	occ    [][8]int16
 	selfTx [][8]bool
 
-	// prev holds the transmissions initiated in the previous slot, cur
-	// this slot's; the two buffers swap every slot.
-	prev, cur []txRec
+	// cur holds the transmissions initiated this slot, prev the previous
+	// slot's (resolved this slot) and done the slot before's, whose
+	// entries are undone once prev is resolved; the buffers rotate
+	// every slot.
+	done, prev, cur []txRec
 
 	// collAt[w] is 1 + the last slot a collision was counted at w, so a
 	// listener that several overlapping transmissions reach counts one
@@ -89,12 +91,16 @@ func newHalfSlot(offsets []int8, n int) (*halfSlot, error) {
 	}, nil
 }
 
-// clearHalf zeroes ring entries for half-slot h across all nodes.
-func (hs *halfSlot) clearHalf(h int64) {
-	idx := h & 7
-	for i := range hs.occ {
-		hs.occ[i][idx] = 0
-		hs.selfTx[i][idx] = false
+// book adds (sign +1) or undoes (sign −1) the ring entries of the
+// transmission tx: its own two halves and its neighbors' occupancy.
+func (e *Engine) book(tx txRec, sign int16) {
+	hs := e.hs
+	i := tx.node
+	for _, h := range [2]int64{tx.h0, tx.h0 + 1} {
+		hs.selfTx[i][h&7] = sign > 0
+		for _, w := range e.edges[e.rowStart[i]:e.rowEnd[i]] {
+			hs.occ[w][h&7] += sign
+		}
 	}
 }
 
@@ -105,20 +111,14 @@ func (hs *halfSlot) clearHalf(h int64) {
 // Protocol.Send contract promises.
 func (e *Engine) halfSlotResolveDeliver(t int64, ob Observer, met *obs.Metrics) {
 	hs := e.hs
-	// This slot's transmissions touch half-slots 2t .. 2t+2. Halves
-	// 2t+1 and 2t+2 are first touched now; zero their ring entries.
-	hs.clearHalf(2*t + 1)
-	hs.clearHalf(2*t + 2)
+	// This slot's transmissions touch half-slots 2t .. 2t+2. The ring
+	// holds nothing stale there: what earlier slots booked at the same
+	// indices (halves 2t−8 .. 2t−6) was undone two slots after them.
 	cur := hs.cur[:0]
 	for _, i := range e.tx {
-		h0 := 2*t + int64(hs.offsets[i])
-		cur = append(cur, txRec{node: NodeID(i), msg: e.out[i], h0: h0})
-		for _, h := range [2]int64{h0, h0 + 1} {
-			hs.selfTx[i][h&7] = true
-			for _, w := range e.edges[e.rowStart[i]:e.rowEnd[i]] {
-				hs.occ[w][h&7]++
-			}
-		}
+		tx := txRec{node: NodeID(i), msg: e.out[i], h0: 2*t + int64(hs.offsets[i])}
+		cur = append(cur, tx)
+		e.book(tx, +1)
 	}
 
 	// Resolve the previous slot's transmissions: their half-slots
@@ -168,5 +168,11 @@ func (e *Engine) halfSlotResolveDeliver(t int64, ob Observer, met *obs.Metrics) 
 			e.b.Recv(t, w, tx.msg)
 		}
 	}
-	hs.prev, hs.cur = cur, hs.prev
+	// Slot t−2's transmissions (done) span halves 2t−4 .. 2t−2; the
+	// last of them was read for the last time just now, by an offset-0
+	// transmission of slot t−1.
+	for _, tx := range hs.done {
+		e.book(tx, -1)
+	}
+	hs.done, hs.prev, hs.cur = hs.prev, cur, hs.done[:0]
 }

@@ -143,10 +143,11 @@ func ColorGraph(adj [][]int, opt Options) (*Outcome, error) {
 	return ColorGraphContext(context.Background(), adj, opt)
 }
 
-// ColorGraphContext is ColorGraph with cancellation: the simulation
-// polls ctx about every thousand slots and returns ctx.Err() if it
-// fired. Long runs on large graphs can take minutes, so interactive
-// callers should prefer this entry point.
+// ColorGraphContext is ColorGraph with cancellation: the κ measurement
+// polls ctx about every thousand nodes and the simulation about every
+// thousand slots, and either returns ctx.Err() once it fired. Long runs
+// on large graphs can take minutes, so interactive callers should
+// prefer this entry point.
 func ColorGraphContext(ctx context.Context, adj [][]int, opt Options) (*Outcome, error) {
 	b := graph.NewBuilder(len(adj))
 	for v, ns := range adj {
@@ -219,7 +220,10 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 		delta, k1, k2 = m.Delta, m.Kappa1, m.Kappa2
 	} else {
 		delta = g.MaxDegree()
-		k := g.Kappa(graph.KappaOptions{Budget: 150_000, MaxNeighborhood: 140})
+		k, err := g.KappaContext(ctx, graph.KappaOptions{Budget: 150_000, MaxNeighborhood: 140})
+		if err != nil {
+			return nil, err
+		}
 		k1, k2 = k.K1, k.K2
 	}
 	par := core.Practical(g.N(), delta, k1, k2).Scale(opt.ParamScale)
