@@ -122,3 +122,40 @@ func TestProtocolGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestChurnRepairGolden pins a run whose churn retracts decided nodes
+// that are still ticking: movers cross into colored neighborhoods, and
+// each conflict's victim clears its state and re-contends in the slot
+// of the move. The fingerprint covers the Outcome and the repair count;
+// the sequential untiled run and four workers over four tiles must both
+// reproduce it.
+func TestChurnRepairGolden(t *testing.T) {
+	const n, radius, side = 64, 1.0, 4.5
+	r := rand.New(rand.NewSource(11))
+	pts := make([][2]float64, n)
+	for i := range pts {
+		pts[i] = [2]float64{r.Float64() * side, r.Float64() * side}
+	}
+	moves := &ChurnConfig{Every: 8}
+	for i := 0; i < 16; i++ {
+		v := 4 * i
+		moves.Waypoints = append(moves.Waypoints,
+			ChurnWaypoint{Node: v, At: 9000, X: pts[v][0], Y: pts[v][1]},
+			ChurnWaypoint{Node: v, At: 10000 + int64(i)*40, X: r.Float64() * side, Y: r.Float64() * side})
+	}
+	const want uint64 = 0xbdeb68837c0a8ae0
+	for _, wt := range [][2]int{{1, 0}, {4, 4}} {
+		out, err := ColorUnitDisk(pts, radius, Options{Seed: 7, Churn: moves, MaxSlots: 14000, Metrics: true,
+			Workers: wt[0], Tiling: wt[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Churn == nil || out.Churn.ConflictsRepaired == 0 {
+			t.Fatalf("workers %d tiling %d: no conflict repaired; the case no longer covers retraction", wt[0], wt[1])
+		}
+		got := fingerprint(out) ^ uint64(out.Churn.ConflictsRepaired)*0x9E3779B97F4A7C15
+		if got != want {
+			t.Errorf("workers %d tiling %d: fingerprint = %#x, want %#x (repaired %d)", wt[0], wt[1], got, want, out.Churn.ConflictsRepaired)
+		}
+	}
+}
