@@ -113,7 +113,11 @@ func main() {
 		fmt.Printf("wrote %s (%d nodes, %d edges)\n", *saveFile, d.N(), d.G.M())
 		return
 	}
-	par := experiment.MeasureParams(d).Scale(*scale)
+	par, err := experiment.MeasureParamsContext(ctx, d)
+	if err != nil {
+		exitRun(err)
+	}
+	par = par.Scale(*scale)
 	if err := par.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "colorsim: -scale %g: %v\n", *scale, err)
 		os.Exit(2)
@@ -255,12 +259,7 @@ func main() {
 	}
 	res, err := radio.RunContext(ctx, cfg)
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "colorsim: interrupted")
-			os.Exit(130)
-		}
-		fmt.Fprintln(os.Stderr, "colorsim:", err)
-		os.Exit(1)
+		exitRun(err)
 	}
 	if tracer != nil {
 		if err := tracer.Flush(); err != nil {
@@ -468,4 +467,15 @@ func makeDeployment(topo string, n int, side, radius float64, walls int, seed in
 	default:
 		return nil, fmt.Errorf("unknown topology %q", topo)
 	}
+}
+
+// exitRun ends colorsim on an error of the κ measurement or the run:
+// exit 130 when a signal canceled it, 1 otherwise.
+func exitRun(err error) {
+	if errors.Is(err, context.Canceled) {
+		fmt.Fprintln(os.Stderr, "colorsim: interrupted")
+		os.Exit(130)
+	}
+	fmt.Fprintln(os.Stderr, "colorsim:", err)
+	os.Exit(1)
 }

@@ -66,7 +66,7 @@ func TestSteadyStateStepZeroAlloc(t *testing.T) {
 // population: one Flat holds every field in a fixed number of arrays,
 // with the random streams inline, so Nodes makes a constant number of
 // allocations whatever n is, and the handles, the protocol slice and
-// the state add up to under 300 bytes a node (measured 252 B on
+// the state add up to under 300 bytes a node (measured 263 B on
 // amd64). The bytes are the heap growth of one Nodes call, read from
 // runtime.MemStats.
 func TestNodesUnderOneKilobyte(t *testing.T) {

@@ -1,21 +1,25 @@
 package core
 
 import (
+	"math"
+
 	"radiocolor/internal/radio"
 )
 
 // Flat is the state of a population of protocol nodes, held field by
 // field in flat arrays indexed by engine node index (the layout of GMS
-// coloring_barenboim.h). The fields every tick reads — phase, class,
-// counter, wait countdown and the SplitMix64 word — sit in their own
-// contiguous arrays, which the batch Send streams in one ascending
-// sweep; the rarely touched state (wire ids, the intra-cluster color,
-// the leader, competitor lists and leader queues, outboxes, statistics,
-// hooks) lives apart, and Params, the derived constants and the
-// Ablation are stored once. Flat implements radio.Batch, so the engine
-// makes one Send call per activity list per slot instead of one
-// interface call per node; Node handles run the same transition code
-// one node at a time.
+// coloring_barenboim.h). The batch Send reads one array for a node
+// with nothing to do: its due slot, the next slot whose tick does more
+// than count down and draw a failing coin. Every other slot of the node
+// is ticked lazily — its countdowns and its random stream are kept
+// against an anchor slot and brought up to date only where something
+// reads them (catchUp). The rarely touched state (wire ids, the
+// intra-cluster color, the leader, competitor lists and leader queues,
+// outboxes, statistics, hooks) lives apart, and Params, the derived
+// constants and the Ablation are stored once. Flat implements
+// radio.Batch, so the engine makes one Send call per activity list per
+// slot instead of one interface call per node; Node handles run the
+// same transition code one node at a time, eagerly.
 //
 // Calls on disjoint node sets may run concurrently: every call writes
 // only its own nodes' entries and shares no scratch.
@@ -24,12 +28,24 @@ type Flat struct {
 	k   derived
 	abl Ablation
 
-	// Hot state, touched by every tick.
-	phase   []Phase
-	class   []int32 // verification class i while in A_i, color class in C_i
+	// Node state. counter, rnd and a leader's serve.left hold their
+	// values before the tick of slot at (all ticks applied when at is
+	// idle); every tick of slots at…due−1 only advances them.
+	phase []Phase
+	class []int32 // verification class i while in A_i, color class in C_i
+	// counter is the competing counter, and while waiting the slots
+	// left of the waiting period (a waiting node's counter reads 0).
 	counter []int64
-	wait    []int64 // slots left in the waiting part of A_i
 	rnd     []radio.Rand
+	due     []int64 // the next slot Send must tick in full
+	at      []int64 // anchor: the first slot not yet applied, or idle
+	// coinAt is the slot of the node's next successful coin, or the end
+	// of the stretch of failing coins scanned so far; stale after the
+	// node changes coin.
+	coinAt []int64
+	// clock is the last slot the engine settled: a lazily ticked node
+	// has ticked through it.
+	clock int64
 
 	// Cold state.
 	id     []radio.NodeID
@@ -62,6 +78,18 @@ type Flat struct {
 	// writes nothing for it.
 	now []int64
 }
+
+const (
+	// idle is the anchor of a node with no lazily ticked slot: fresh,
+	// stopped, or driven one tick at a time through its Node handle.
+	idle = math.MaxInt64
+	// stale marks a due slot or coin slot that must be recomputed: the
+	// next Send ticks the node in full.
+	stale = math.MinInt64
+	// scanAhead bounds one look-ahead over a node's coins; a node whose
+	// coins all fail in it ticks in full at its end and scans again.
+	scanAhead = 1 << 12
+)
 
 // competitor is one entry of the local competitor list P_v: the stored
 // counter copy d_v(w) of competitor id is base at slot at and is
@@ -122,8 +150,11 @@ func newFlat(ids []radio.NodeID, rnd []radio.Rand, par Params, abl Ablation) *Fl
 		phase:   make([]Phase, n),
 		class:   make([]int32, n),
 		counter: make([]int64, n),
-		wait:    make([]int64, n),
 		rnd:     rnd,
+		due:     make([]int64, n),
+		at:      make([]int64, n),
+		coinAt:  make([]int64, n),
+		clock:   -1,
 		id:      ids,
 		tc:      make([]int32, n),
 		leader:  make([]radio.NodeID, n),
@@ -136,6 +167,7 @@ func newFlat(ids []radio.NodeID, rnd []radio.Rand, par Params, abl Ablation) *Fl
 	for i := range ids {
 		s.tc[i] = -1
 		s.leftA0[i] = -1
+		s.due[i], s.at[i], s.coinAt[i] = stale, idle, stale
 	}
 	if abl.LeaderAssignmentMemory {
 		s.assigned = make([]map[radio.NodeID]int32, n)
@@ -174,69 +206,39 @@ func (s *Flat) stamp(slot int64, v int32) {
 	}
 }
 
-// Start implements radio.Batch: upon waking up node v enters A₀.
+// Start implements radio.Batch: upon waking up node v enters A₀. The
+// node is fresh or Reset, so it ticks eagerly until its first Send.
 func (s *Flat) Start(slot int64, v int32) {
 	s.stamp(slot, v)
 	s.enterVerify(slot, v, 0)
 }
 
 // Send implements radio.Batch: one tick of every node of ids that skip
-// does not mark (skip may be nil), in the order of ids. A
-// transmitter's message goes to out[v] and v to tx; a node that
-// decides in its tick is appended to dec. Ticks that change no phase
-// take the inline paths below; every other tick, and every phase
-// transition, runs through tick, the code a Node handle's Send runs.
+// does not mark (skip may be nil), in the order of ids. A node whose
+// due slot lies ahead ticks lazily: it counts down or draws a failing
+// coin, which catchUp applies when something reads it. A due node
+// catches up and ticks in full through tick, the code a Node handle's
+// Send runs, and plans its next due slot. A transmitter's message goes
+// to out[v] and v to tx; a node that decides in its tick is appended
+// to dec. A skipped node does not tick: its lazy state stops at the
+// slot before.
 func (s *Flat) Send(slot int64, ids []int32, skip []bool, out []radio.Message, tx, dec []int32) ([]int32, []int32) {
-	phase, class, counter, wait, rnd := s.phase, s.class, s.counter, s.wait, s.rnd
-	threshold, coin := s.k.threshold, s.k.sendCoin
-	now := s.now
+	due, now := s.due, s.now
 	for _, v := range ids {
 		if skip != nil && skip[v] {
+			s.stop(slot, v)
 			continue
 		}
 		if now != nil {
 			now[v] = slot
 		}
-		switch phase[v] {
-		case PhaseWaiting:
-			if wait[v] > 1 {
-				wait[v]--
-				continue
-			}
-		case PhaseActive:
-			if c := counter[v] + 1; c < threshold {
-				counter[v] = c // line 17
-				if rnd[v].Coin(coin) {
-					out[v] = put(&s.out[v].a, slot, MsgA{From: s.id[v], Class: class[v], Counter: c}) // line 22
-					tx = append(tx, v)
-				}
-				continue
-			}
-		case PhaseRequest:
-			if rnd[v].Coin(coin) {
-				out[v] = put(&s.out[v].r, slot, MsgR{From: s.id[v], Leader: s.leader[v]}) // Algorithm 2, line 2
-				tx = append(tx, v)
-			}
+		if due[v] > slot {
 			continue
-		case PhaseColored:
-			if class[v] > 0 {
-				if rnd[v].Coin(coin) {
-					out[v] = put(&s.out[v].c, slot, MsgC{From: s.id[v], Class: class[v]}) // Algorithm 3, line 4
-					tx = append(tx, v)
-				}
-				continue
-			}
-			// An idle leader beacons (Algorithm 3, line 14); opening and
-			// closing a response window take the slow path.
-			if sv := &s.serve[v]; sv.left == 0 && len(s.list[v]) == 0 {
-				if rnd[v].Coin(s.k.leaderCoin) {
-					out[v] = put(&s.out[v].c, slot, MsgC{From: s.id[v], Class: 0})
-					tx = append(tx, v)
-				}
-				continue
-			}
 		}
+		s.catchUp(v, slot-1)
 		m, decided := s.tick(slot, v)
+		s.at[v] = slot + 1
+		s.plan(v)
 		if m != nil {
 			out[v] = m
 			tx = append(tx, v)
@@ -252,17 +254,114 @@ func (s *Flat) Send(slot int64, ids []int32, skip []bool, out []radio.Message, t
 func (s *Flat) Recv(slot int64, v int32, msg radio.Message) { s.recv(slot, v, msg) }
 
 // Settle implements radio.Batch. A node decides only in its own tick,
-// which Send reports, so nothing is left to settle.
-func (s *Flat) Settle(_ []bool, dec []int32) []int32 { return dec }
+// which Send reports, so nothing is left to settle; Settle only notes
+// the slot every lazily ticked node has now ticked through.
+func (s *Flat) Settle(slot int64, _ []bool, dec []int32) []int32 {
+	s.clock = slot
+	return dec
+}
 
-// tick is node v's whole per-slot Send step; decided reports that the
-// node joined C_i in it.
+// catchUp applies node v's lazily ticked slots at…through: each
+// counted down the wait, or counted up and drew one failing coin.
+// Nothing else happens in them, as plan puts the due slot at the first
+// slot that does more.
+func (s *Flat) catchUp(v int32, through int64) {
+	if s.at[v] <= through {
+		s.advance(v, through)
+	}
+}
+
+// advance is catchUp's work, kept apart so the check inlines.
+func (s *Flat) advance(v int32, through int64) {
+	k := through - s.at[v] + 1
+	switch s.phase[v] {
+	case PhaseWaiting:
+		s.counter[v] -= k
+	case PhaseActive:
+		s.counter[v] += k
+		s.rnd[v].Skip(uint64(k))
+	case PhaseColored:
+		if sv := &s.serve[v]; sv.left > 0 {
+			sv.left -= k
+		}
+		s.rnd[v].Skip(uint64(k))
+	default:
+		s.rnd[v].Skip(uint64(k))
+	}
+	s.at[v] = through + 1
+}
+
+// stop ends node v's lazy ticking before slot, for a node that misses
+// slots (skipped) or restarts: its state is brought up to date through
+// slot−1 and left eager, so a batch Send ticks it in full. The scanned
+// coin slot goes too, as the node's stream no longer advances one draw
+// per slot.
+func (s *Flat) stop(slot int64, v int32) {
+	if s.at[v] != idle {
+		s.catchUp(v, slot-1)
+		s.at[v], s.due[v], s.coinAt[v] = idle, stale, stale
+	}
+}
+
+// plan sets the due slot of node v, anchored at at[v]: the earliest of
+// the end of the waiting period, the tick that reaches the threshold,
+// a leader's window opening or closing, and the next successful coin.
+func (s *Flat) plan(v int32) {
+	a := s.at[v]
+	switch s.phase[v] {
+	case PhaseWaiting:
+		s.due[v] = a + s.counter[v] - 1
+	case PhaseActive:
+		end := a + max(0, s.k.threshold-s.counter[v]-1)
+		s.due[v] = min(end, s.nextCoin(v, a, s.k.sendCoin, end-a))
+	case PhaseRequest:
+		s.due[v] = s.nextCoin(v, a, s.k.sendCoin, scanAhead)
+	case PhaseColored:
+		sv := &s.serve[v]
+		switch {
+		case s.class[v] > 0:
+			s.due[v] = s.nextCoin(v, a, s.k.sendCoin, scanAhead)
+		case sv.left > 0:
+			s.due[v] = min(a+sv.left-1, s.nextCoin(v, a, s.k.leaderCoin, scanAhead))
+		case len(s.list[v]) > 0:
+			s.due[v] = a // a response window opens
+		default:
+			s.due[v] = s.nextCoin(v, a, s.k.leaderCoin, scanAhead)
+		}
+	default:
+		s.due[v] = a
+	}
+}
+
+// replan re-plans node v after a reception changed it, unless the node
+// ticks eagerly.
+func (s *Flat) replan(v int32) {
+	if s.at[v] != idle {
+		s.plan(v)
+	}
+}
+
+// nextCoin returns the slot of node v's next successful coin from slot
+// a on, scanning at most limit draws of its stream ahead (the end of
+// the scan when all fail). A scan stays valid while the node draws the
+// same coin every slot, so only a phase change forces a new one.
+func (s *Flat) nextCoin(v int32, a int64, coin uint64, limit int64) int64 {
+	if c := s.coinAt[v]; c >= a {
+		return c
+	}
+	c := a + s.rnd[v].Scan(coin, limit)
+	s.coinAt[v] = c
+	return c
+}
+
+// tick is node v's whole per-slot Send step, on state that is up to
+// date; decided reports that the node joined C_i in it.
 func (s *Flat) tick(slot int64, v int32) (m radio.Message, decided bool) {
 	s.stamp(slot, v)
 	switch s.phase[v] {
 	case PhaseWaiting:
-		s.wait[v]--
-		if s.wait[v] <= 0 {
+		s.counter[v]-- // the waiting countdown
+		if s.counter[v] <= 0 {
 			// Line 15: activate with counter χ(P_v).
 			s.counter[v] = s.chi(slot, v)
 			s.setPhase(slot, v, PhaseActive, s.class[v])
@@ -300,6 +399,7 @@ func (s *Flat) tick(slot int64, v int32) (m radio.Message, decided bool) {
 func (s *Flat) setPhase(slot int64, v int32, to Phase, class int32) {
 	from := s.phase[v]
 	s.phase[v] = to
+	s.coinAt[v] = stale // the node's coin changes with its phase
 	s.logTransition(slot, v, from, to, class)
 }
 
@@ -308,8 +408,7 @@ func (s *Flat) setPhase(slot int64, v int32, to Phase, class int32) {
 func (s *Flat) enterVerify(slot int64, v int32, class int32) {
 	s.class[v] = class
 	s.list[v] = s.list[v][:0]
-	s.counter[v] = 0
-	s.wait[v] = s.k.waitSlots
+	s.counter[v] = s.k.waitSlots
 	s.setPhase(slot, v, PhaseWaiting, class)
 }
 
@@ -397,13 +496,17 @@ func (s *Flat) recv(slot int64, v int32, msg radio.Message) {
 		// …and the awaited answer when it addresses this node
 		// (Algorithm 2, lines 3–4).
 		if s.phase[v] == PhaseRequest && m.From == s.leader[v] && m.To == s.id[v] {
+			s.catchUp(v, slot)
 			s.tc[v] = m.TC
 			s.enterVerify(slot, v, m.TC*(int32(s.par.Kappa2)+1))
+			s.replan(v)
 		}
 	case *MsgR:
 		// Algorithm 3, lines 10–12: leaders enqueue fresh requests.
 		if s.phase[v] == PhaseColored && s.class[v] == 0 && m.Leader == s.id[v] && !s.queued(v, m.From) {
+			s.catchUp(v, slot)
 			s.list[v] = append(s.list[v], competitor{id: m.From})
+			s.replan(v)
 		}
 	}
 }
@@ -438,12 +541,14 @@ func (s *Flat) recvA(slot int64, v int32, m *MsgA) {
 	if ph != PhaseActive {
 		return
 	}
+	s.catchUp(v, slot)
 	if s.abl.NaiveReset {
 		// The rejected naive scheme of Sect. 4: any more advanced
 		// competitor resets us to zero.
 		if m.Counter > s.counter[v] {
 			s.counter[v] = 0
 			s.stats[v].resets++
+			s.replan(v)
 		}
 		return
 	}
@@ -454,6 +559,7 @@ func (s *Flat) recvA(slot int64, v int32, m *MsgA) {
 	if diff <= s.k.crit[min(s.class[v], 1)] { // line 29
 		s.counter[v] = s.chi(slot, v)
 		s.stats[v].resets++
+		s.replan(v) // the deadline moves; the scanned coin stays
 	}
 }
 
@@ -465,16 +571,21 @@ func (s *Flat) recvCovered(slot int64, v int32, from radio.NodeID, class int32) 
 	if (ph != PhaseWaiting && ph != PhaseActive) || class != s.class[v] {
 		return
 	}
+	s.catchUp(v, slot)
 	if class == 0 {
 		// A_suc = R: associate with the announcing leader.
+		if ph == PhaseWaiting {
+			s.counter[v] = 0 // the countdown is not a counter
+		}
 		s.leader[v] = from
 		s.leftA0[v] = slot
 		s.setPhase(slot, v, PhaseRequest, 0)
-		return
+	} else {
+		// A_suc = A_{i+1}.
+		s.stats[v].classMoves++
+		s.enterVerify(slot, v, class+1)
 	}
-	// A_suc = A_{i+1}.
-	s.stats[v].classMoves++
-	s.enterVerify(slot, v, class+1)
+	s.replan(v)
 }
 
 // chi computes χ(P_v) (Algorithm 1, line 15): the maximum value ≤ 0
@@ -506,12 +617,13 @@ func (s *Flat) chi(slot int64, v int32) int64 {
 
 // reset clears node v back to its pre-Start condition (Node.Reset).
 // Reset takes no slot, so the transition is logged at the node's last
-// one.
+// one. The random stream survives it: a node ticking lazily first draws
+// the coins of the slots it ticked through the last settled one.
 func (s *Flat) reset(v int32) {
+	s.stop(s.clock+1, v)
 	s.class[v] = 0
 	s.tc[v] = -1
 	s.leader[v] = 0
-	s.wait[v] = 0
 	s.counter[v] = 0
 	s.list[v] = s.list[v][:0]
 	if s.assigned != nil {

@@ -98,7 +98,11 @@ func (v *Node) Member() (radio.Batch, int32, radio.Protocol) { return v.s, v.i, 
 // Start implements radio.Protocol: upon waking up a node enters A₀.
 func (v *Node) Start(slot int64) { v.s.Start(slot, v.i) }
 
-// Send implements radio.Protocol: the node's per-slot tick.
+// Send implements radio.Protocol: the node's per-slot tick, applied
+// at once. Only the batch Send defers ticks, and a run drives a
+// population either through its batch or through its handles, so a
+// handle's node ticks only in the slots its Send is called in and its
+// state is always up to date.
 func (v *Node) Send(slot int64) radio.Message {
 	m, _ := v.s.tick(slot, v.i)
 	return m
@@ -147,8 +151,22 @@ func (v *Node) Resets() int64 { return v.s.stats[v.i].resets }
 // Corollary 1 bounds it by κ₂ with high probability.
 func (v *Node) ClassMoves() int64 { return v.s.stats[v.i].classMoves }
 
-// Counter exposes the current counter value (for tests and tracing).
-func (v *Node) Counter() int64 { return v.s.counter[v.i] }
+// Counter exposes the current counter value (for tests and tracing):
+// the value after the node's last tick or reception, counting the
+// slots it ticked lazily through the last slot the engine finished. A
+// waiting node's counter reads 0.
+func (v *Node) Counter() int64 {
+	s, i := v.s, v.i
+	switch s.phase[i] {
+	case PhaseWaiting:
+		return 0
+	case PhaseActive:
+		if a := s.at[i]; a <= s.clock {
+			return s.counter[i] + s.clock - a + 1
+		}
+	}
+	return s.counter[i]
+}
 
 // LeftClassZeroAt returns the slot at which the node resolved its
 // class-0 fate — became a leader or associated with one — or −1 while it

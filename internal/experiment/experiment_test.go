@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -381,5 +383,24 @@ func TestE24Smoke(t *testing.T) {
 	// window past the run's termination slot would leave every row 0.
 	if !anyDown {
 		t.Error("no row reports nodes down; crash schedule never fired")
+	}
+}
+
+// TestMeasureParamsContextCanceled checks that a canceled κ measurement
+// returns the context's error, and that a live one measures the same
+// parameters as MeasureParams.
+func TestMeasureParamsContextCanceled(t *testing.T) {
+	d := topology.RandomUDG(topology.UDGConfig{N: 300, Side: 8, Radius: 1, Seed: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := MeasureParamsContext(ctx, d); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled measurement returned %v, want context.Canceled", err)
+	}
+	par, err := MeasureParamsContext(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := MeasureParams(d); par != want {
+		t.Fatalf("MeasureParamsContext = %+v, MeasureParams = %+v", par, want)
 	}
 }

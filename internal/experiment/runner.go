@@ -7,6 +7,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"radiocolor/internal/core"
@@ -69,9 +70,18 @@ func (o Options) scale(n, floor int) int {
 // parameters with the measured Δ and κ values — the "rough bounds known
 // at deployment time" of the model.
 func MeasureParams(d *topology.Deployment) core.Params {
-	delta := d.G.MaxDegree()
-	k := d.G.Kappa(graph.KappaOptions{Budget: 150_000, MaxNeighborhood: 140})
-	return core.Practical(d.N(), delta, k.K1, k.K2)
+	par, _ := MeasureParamsContext(context.Background(), d)
+	return par
+}
+
+// MeasureParamsContext is MeasureParams with cancellation: the κ pass
+// polls ctx, and a canceled measurement returns ctx.Err().
+func MeasureParamsContext(ctx context.Context, d *topology.Deployment) (core.Params, error) {
+	k, err := d.G.KappaContext(ctx, graph.KappaOptions{Budget: 150_000, MaxNeighborhood: 140})
+	if err != nil {
+		return core.Params{}, err
+	}
+	return core.Practical(d.N(), d.G.MaxDegree(), k.K1, k.K2), nil
 }
 
 // CoreRun is the outcome of one protocol execution.

@@ -11,8 +11,9 @@ type Batch interface {
 	// Start wakes node v in slot (Protocol.Start).
 	Start(slot int64, v int32)
 	// Send ticks every node of ids whose skip entry is unset (skip may
-	// be nil), as Protocol.Send would one by one. ids is an ascending
-	// activity list. A transmitter's message goes to out[v] and v
+	// be nil), as Protocol.Send would one by one; a node with skip set
+	// does not tick in this slot at all. ids is an ascending activity
+	// list. A transmitter's message goes to out[v] and v
 	// is appended to tx; a node that decides in its tick is appended to
 	// dec. Both follow the order of ids, and Send returns them. Messages
 	// follow the Protocol.Send validity contract.
@@ -20,10 +21,10 @@ type Batch interface {
 	// Recv hands msg to listener v (Protocol.Recv).
 	Recv(slot int64, v int32, msg Message)
 	// Settle runs once per slot, after every Send and Recv of the slot,
-	// on one goroutine. It appends to dec the nodes that decided in the
-	// slot without their Send reporting it, skipping nodes with skip
-	// set, and returns dec.
-	Settle(skip []bool, dec []int32) []int32
+	// on one goroutine; slot is the slot that just ended. It appends to
+	// dec the nodes that decided in the slot without their Send
+	// reporting it, skipping nodes with skip set, and returns dec.
+	Settle(slot int64, skip []bool, dec []int32) []int32
 }
 
 // Member is implemented by per-node handles into a shared Batch. When
@@ -107,7 +108,7 @@ func (a *perNode) Send(slot int64, ids []int32, skip []bool, out []Message, tx, 
 
 func (a *perNode) Recv(slot int64, v int32, msg Message) { a.protos[v].Recv(slot, msg) }
 
-func (a *perNode) Settle(skip []bool, dec []int32) []int32 {
+func (a *perNode) Settle(_ int64, skip []bool, dec []int32) []int32 {
 	if len(a.started) > 0 {
 		// Each slot's wake block is ascending already; restarts may not be.
 		slices.Sort(a.started)

@@ -506,7 +506,7 @@ func (e *Engine) Step() bool {
 	}
 	// Decisions a batch leaves to Settle (the per-node adapter's) join
 	// the ones its Send calls reported.
-	e.dec = e.b.Settle(e.off, e.dec)
+	e.dec = e.b.Settle(t, e.off, e.dec)
 	e.decide(t, ob, met)
 
 	// Transmitter cleanup. Runs after every deliver because a remote

@@ -75,6 +75,26 @@ func CoinThreshold(p float64) uint64 {
 // as r.Float64() < p, without floating point.
 func (r *Rand) Coin(t uint64) bool { return r.Uint64()>>11 < t }
 
+// Skip advances the stream by k draws in O(1): the k-th draw from
+// state s is finalize(s + k·Gamma), so k draws move the state by
+// k·Gamma (mod 2^64, which also holds for k past 2^64 draws).
+func (r *Rand) Skip(k uint64) { r.s += k * Gamma }
+
+// Scan looks ahead without advancing r: it returns the index of the
+// first of the next limit draws whose Coin(t) succeeds, or limit when
+// none does. Index j names the draw after j failing ones, so
+// r.Skip(j); r.Coin(t) is that success.
+func (r *Rand) Scan(t uint64, limit int64) int64 {
+	s := r.s
+	for j := int64(0); j < limit; j++ {
+		s += Gamma
+		if finalize(s)>>11 < t {
+			return j
+		}
+	}
+	return limit
+}
+
 // Int63n returns a uniform int64 in [0, n) by Lemire's multiply-shift
 // with rejection ("Fast random integer generation in an interval",
 // 2019), which is unbiased for every n. It panics if n <= 0, like

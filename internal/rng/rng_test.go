@@ -213,3 +213,70 @@ func TestCoinMatchesFloat64(t *testing.T) {
 		r.Uint64()
 	}
 }
+
+// TestSkipAndScanMatchStepwise holds Skip and Scan to the stepwise
+// draws they stand for: Skip(k) equals k calls of Uint64, Scan returns
+// the index of the first successful Coin among the next limit draws
+// (limit when none succeeds) and leaves the stream where it was. States
+// start from random seeds and from just below 2^64, so the stepwise
+// states wrap; skips of nearly 2^64 draws must compose back to the
+// start, the period of the state walk.
+func TestSkipAndScanMatchStepwise(t *testing.T) {
+	rnd := Derive(99, 0)
+	thresholds := []uint64{0, 1, CoinThreshold(1.0 / 210), CoinThreshold(0.1), 1 << 53}
+	for trial := 0; trial < 200; trial++ {
+		r := Rand{s: rnd.Uint64()}
+		if trial%4 == 0 {
+			r.s = math.MaxUint64 - uint64(rnd.Intn(8))*Gamma
+		}
+		for _, th := range thresholds {
+			limit := int64(rnd.Intn(600))
+			start := r
+			got := r.Scan(th, limit)
+			if r != start {
+				t.Fatalf("Scan advanced the stream")
+			}
+			want, c := limit, r
+			for j := int64(0); j < limit; j++ {
+				if c.Coin(th) {
+					want = j
+					break
+				}
+			}
+			if got != want {
+				t.Fatalf("state %#x threshold %d limit %d: Scan = %d, stepwise %d", r.s, th, limit, got, want)
+			}
+			if got < limit {
+				c := r
+				c.Skip(uint64(got))
+				if !c.Coin(th) {
+					t.Fatalf("Skip(%d) then Coin missed the scanned success", got)
+				}
+			}
+		}
+		k := uint64(rnd.Intn(1000))
+		a, b := r, r
+		a.Skip(k)
+		for i := uint64(0); i < k; i++ {
+			b.Uint64()
+		}
+		if a != b {
+			t.Fatalf("state %#x: Skip(%d) = %#x, stepwise %#x", r.s, k, a.s, b.s)
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatal("streams diverge after Skip")
+		}
+		// Skips of k and 2^64−k draws compose to the identity.
+		w := r
+		w.Skip(-k)
+		w.Skip(k)
+		if w != r {
+			t.Fatalf("Skip(2^64−%d) then Skip(%d) did not return to the start", k, k)
+		}
+		w.Skip(math.MaxUint64)
+		w.Uint64()
+		if w != r {
+			t.Fatal("Skip(2^64−1) then one draw did not return to the start")
+		}
+	}
+}
