@@ -74,6 +74,18 @@ func TestValidationBeforeWork(t *testing.T) {
 			t.Errorf("ParamScale %g: err = %v", scale, err)
 		}
 	}
+	// Options that need positions fail before the κ pass, which would
+	// otherwise stop first on the canceled context.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, opt := range map[string]Options{
+		"sinr":     {Medium: &MediumConfig{Kind: "sinr"}},
+		"mobility": {Churn: &ChurnConfig{Waypoints: []ChurnWaypoint{{Node: 0, At: 10, X: 1, Y: 1}}}},
+	} {
+		if _, err := ColorGraphContext(ctx, ringAdj(8), opt); err == nil || !strings.Contains(err.Error(), "positions") {
+			t.Errorf("%s without positions: err = %v, want the positions error", name, err)
+		}
+	}
 }
 
 // TestParamScaleOverflowOnGraph covers a scale that is valid on the

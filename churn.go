@@ -20,9 +20,9 @@ import (
 // protocol (the built-in coloring protocol is); mobility needs node
 // positions, so Waypoints are only accepted through the geometric
 // entry points (ColorUnitDisk and friends). Churn cannot combine with
-// a pluggable Medium (media bind to a static graph) or with clock-skew
-// fault profiles (the half-slot rule reads a static neighbor view), and churn
-// subjects must be disjoint from fault crash/restart victims.
+// a Medium or with clock-skew faults (Options.Validate returns
+// ErrUnsupported), and churn subjects must be disjoint from fault
+// crash/restart victims.
 type ChurnConfig struct {
 	// Joins and Leaves schedule presence changes. A node whose first
 	// event is a join is absent from slot 0; per node, joins and leaves

@@ -113,6 +113,72 @@ func main() {
 		fmt.Printf("wrote %s (%d nodes, %d edges)\n", *saveFile, d.N(), d.G.M())
 		return
 	}
+	// Fault injection: parse the profile, default its seed to the run
+	// seed, and compile it against the deployment. A clock-skew profile
+	// switches reception to the half-slot (non-aligned) rule.
+	var prof *fault.Profile
+	var inj *fault.Injector
+	if *faults != "" {
+		prof, err = fault.ParseProfile(*faults)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "colorsim:", err)
+			os.Exit(2)
+		}
+		if prof.Seed == 0 {
+			prof.Seed = *seed
+		}
+		inj, err = prof.Compile(d.N())
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "colorsim:", err)
+			os.Exit(2)
+		}
+	}
+	// Dynamic topology: parse the schedule and compile it against the
+	// deployment (node positions feed waypoint mobility when present).
+	var chSch *churn.Schedule
+	var chPlan *churn.Plan
+	if *churnF != "" {
+		chSch, err = churn.ParseSchedule(*churnF)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "colorsim:", err)
+			os.Exit(2)
+		}
+		env := churn.Env{G: d.G}
+		if len(chSch.Waypoints) > 0 {
+			env.Points, env.Radius = d.Points, d.Radius
+		}
+		chPlan, err = chSch.Compile(env)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "colorsim:", err)
+			os.Exit(2)
+		}
+	}
+	// Reception medium: parse the spec and bind it against the
+	// deployment (SINR fails to bind without positions).
+	var med medium.Instance
+	if spec, serr := medium.ParseSpec(*mediumF); serr != nil {
+		fmt.Fprintln(os.Stderr, "colorsim:", serr)
+		os.Exit(2)
+	} else if spec != nil {
+		model, merr := spec.Build()
+		if merr == nil {
+			csr := d.G.CSR()
+			med, merr = model.Bind(medium.Env{
+				N: d.N(), Offsets: csr.Offsets, Edges: csr.Edges,
+				Points: d.Points, Seed: *seed,
+			})
+		}
+		if merr != nil {
+			fmt.Fprintln(os.Stderr, "colorsim:", merr)
+			os.Exit(2)
+		}
+	}
+	// Ask the composition table before the κ pass, which takes minutes
+	// on a large deployment.
+	if err := radio.CheckSeams(inj != nil, inj.HasSkew(), med != nil, chPlan != nil); err != nil {
+		fmt.Fprintln(os.Stderr, "colorsim:", err)
+		os.Exit(2)
+	}
 	par, err := experiment.MeasureParamsContext(ctx, d)
 	if err != nil {
 		exitRun(err)
@@ -159,90 +225,6 @@ func main() {
 		met = obs.NewMetrics()
 		met.SetPhaseGauge(obs.PhaseAsleep, int64(d.N()))
 		timeline = obs.NewTimeline(d.N(), 0)
-	}
-	// Fault injection: parse the profile, default its seed to the run
-	// seed, and compile it against the deployment. A clock-skew profile
-	// switches reception to the half-slot (non-aligned) rule.
-	var prof *fault.Profile
-	var inj *fault.Injector
-	if *faults != "" {
-		prof, err = fault.ParseProfile(*faults)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "colorsim:", err)
-			os.Exit(2)
-		}
-		if prof.Seed == 0 {
-			prof.Seed = *seed
-		}
-		inj, err = prof.Compile(d.N())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "colorsim:", err)
-			os.Exit(2)
-		}
-	}
-	// Dynamic topology: parse the schedule and compile it against the
-	// deployment (node positions feed waypoint mobility when present).
-	// Churn owns the graph's edge set mid-run, so it cannot combine
-	// with a medium (bound to a static graph) or clock skew (the
-	// half-slot rule reads a static neighbor view).
-	var chSch *churn.Schedule
-	var chPlan *churn.Plan
-	if *churnF != "" {
-		chSch, err = churn.ParseSchedule(*churnF)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "colorsim:", err)
-			os.Exit(2)
-		}
-		if inj.HasSkew() {
-			fmt.Fprintln(os.Stderr, "colorsim: -churn cannot combine with clock-skew faults (the half-slot rule reads a static neighbor view)")
-			os.Exit(2)
-		}
-		env := churn.Env{G: d.G}
-		if len(chSch.Waypoints) > 0 {
-			if d.Points == nil {
-				fmt.Fprintln(os.Stderr, "colorsim: waypoint mobility needs a geometric topology (node positions)")
-				os.Exit(2)
-			}
-			env.Points, env.Radius = d.Points, d.Radius
-		}
-		chPlan, err = chSch.Compile(env)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "colorsim:", err)
-			os.Exit(2)
-		}
-	}
-	// Reception medium: parse the spec, check it against the deployment
-	// (SINR needs positions, no medium composes with clock skew), and
-	// bind it for the run.
-	var med medium.Instance
-	if spec, serr := medium.ParseSpec(*mediumF); serr != nil {
-		fmt.Fprintln(os.Stderr, "colorsim:", serr)
-		os.Exit(2)
-	} else if spec != nil {
-		if inj.HasSkew() {
-			fmt.Fprintln(os.Stderr, "colorsim: -medium cannot combine with clock-skew faults (the half-slot rule owns reception)")
-			os.Exit(2)
-		}
-		if chPlan != nil {
-			fmt.Fprintln(os.Stderr, "colorsim: -medium cannot combine with -churn (media bind to a static graph)")
-			os.Exit(2)
-		}
-		if spec.Kind == medium.KindSINR && d.Points == nil {
-			fmt.Fprintln(os.Stderr, "colorsim: a sinr medium needs a geometric topology (node positions)")
-			os.Exit(2)
-		}
-		model, merr := spec.Build()
-		if merr == nil {
-			csr := d.G.CSR()
-			med, merr = model.Bind(medium.Env{
-				N: d.N(), Offsets: csr.Offsets, Edges: csr.Edges,
-				Points: d.Points, Seed: *seed,
-			})
-		}
-		if merr != nil {
-			fmt.Fprintln(os.Stderr, "colorsim:", merr)
-			os.Exit(2)
-		}
 	}
 	collector := &obs.Collector{Metrics: met, Tracer: tracer, Timeline: timeline}
 	nodes, protos := core.Nodes(d.N(), *seed, par, core.Ablation{})

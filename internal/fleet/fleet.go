@@ -4,9 +4,10 @@
 // sweep runs on.
 //
 // An Engine takes an ordered batch of Jobs and runs them on a bounded
-// worker pool. Each job's panic is recovered and converted into an
-// error; failing jobs are retried with capped exponential backoff
-// before being marked failed. Results are returned in submission order
+// worker pool. Each job runs once; its panic is recovered and converted
+// into an error, and a failing job is marked failed (the deterministic
+// trials this engine runs fail deterministically too, so a retry would
+// fail again). Results are returned in submission order
 // regardless of completion order, so a batch of deterministic jobs
 // produces deterministic output at any worker count. An optional
 // Checkpoint streams every finished payload to a JSONL store, and a
@@ -16,7 +17,6 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -46,26 +46,25 @@ type Result struct {
 	// Value is the payload produced by Job.Run (or restored from the
 	// checkpoint). nil when the job failed.
 	Value any
-	// Err is the final attempt's error (a *PanicError if the job
-	// panicked). nil means success.
+	// Err is the job's error (a *PanicError if the job panicked). nil
+	// means success.
 	Err error
-	// Attempts counts executions of Job.Run, including the successful
-	// one. 0 for results restored from a checkpoint.
+	// Attempts counts executions of Job.Run: 1 for an executed job, 0
+	// for a result restored from a checkpoint.
 	Attempts int
 	// FromCheckpoint marks results restored from the checkpoint store
 	// without re-execution.
 	FromCheckpoint bool
-	// Duration is the wall time spent executing the job (all attempts,
-	// including backoff). 0 for restored results.
+	// Duration is the wall time spent executing the job. 0 for restored
+	// results.
 	Duration time.Duration
 }
 
-// Failed reports whether the job exhausted its attempts without
-// producing a payload.
+// Failed reports whether the job ended without producing a payload.
 func (r Result) Failed() bool { return r.Err != nil }
 
-// PanicError wraps a panic recovered from a job so it can flow through
-// the retry machinery like an ordinary error.
+// PanicError wraps a panic recovered from a job so it is reported like
+// an ordinary error.
 type PanicError struct {
 	// Value is the value passed to panic.
 	Value any
@@ -84,33 +83,16 @@ type Progress interface {
 	AddTotal(n int)
 	// JobDone records one successfully finished job.
 	JobDone()
-	// JobFailed records one job that exhausted its attempts.
+	// JobFailed records one failed job.
 	JobFailed()
-	// JobRetried records one failed attempt that will be retried.
-	JobRetried()
 }
 
 // Config parameterizes an Engine. The zero value is usable: GOMAXPROCS
-// workers, a single attempt per job, no checkpoint, no progress.
+// workers, no checkpoint, no progress.
 type Config struct {
 	// Workers bounds the number of concurrently executing jobs.
 	// Defaults to runtime.GOMAXPROCS(0).
 	Workers int
-	// MaxAttempts is the number of times a failing job is executed
-	// before it is marked failed. Defaults to 1 (no retries): the
-	// deterministic simulation trials this engine was built for fail
-	// deterministically too, so callers opt into retries only for
-	// workloads with transient failure modes.
-	MaxAttempts int
-	// Backoff is the ceiling of the sleep before the first retry; it
-	// doubles per subsequent retry of the same job, capped at
-	// MaxBackoff. The actual sleep is drawn uniformly from
-	// [0, ceiling] ("full jitter"), so retries of jobs that failed
-	// together — a saturated disk, a blipped remote — don't thunder
-	// back in lockstep. Defaults to 50ms.
-	Backoff time.Duration
-	// MaxBackoff caps the per-job backoff ceiling. Defaults to 2s.
-	MaxBackoff time.Duration
 	// Checkpoint, when non-nil, streams finished payloads to a JSONL
 	// store and restores already-finished jobs on the next Run.
 	Checkpoint *Checkpoint
@@ -121,12 +103,6 @@ type Config struct {
 	// order). Calls are serialized; OnResult must not call back into
 	// the engine.
 	OnResult func(Result)
-
-	// sleep is a test hook for the backoff delay.
-	sleep func(time.Duration)
-	// jitter is a test hook for the full-jitter draw: it returns a
-	// uniform value in [0, n). Defaults to the shared PRNG.
-	jitter func(n int64) int64
 }
 
 // Engine executes batches of jobs under one Config.
@@ -138,21 +114,6 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 1
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 50 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 2 * time.Second
-	}
-	if cfg.sleep == nil {
-		cfg.sleep = time.Sleep
-	}
-	if cfg.jitter == nil {
-		cfg.jitter = rand.Int63n
 	}
 	return &Engine{cfg: cfg}
 }
@@ -261,33 +222,14 @@ func (e *Engine) Run(jobs []Job) ([]Result, error) {
 	return results, sinkErr
 }
 
-// execute runs one job through the retry loop.
+// execute runs one job once.
 func (e *Engine) execute(index int, j Job) Result {
-	res := Result{ID: j.ID, Index: index}
 	start := time.Now()
-	backoff := e.cfg.Backoff
-	for attempt := 1; ; attempt++ {
-		res.Attempts = attempt
-		v, err := recoverRun(j.Run)
-		if err == nil {
-			res.Value, res.Err = v, nil
-			break
-		}
-		res.Err = err
-		if attempt >= e.cfg.MaxAttempts {
-			break
-		}
-		if e.cfg.Progress != nil {
-			e.cfg.Progress.JobRetried()
-		}
-		e.cfg.sleep(time.Duration(e.cfg.jitter(int64(backoff) + 1)))
-		backoff *= 2
-		if backoff > e.cfg.MaxBackoff {
-			backoff = e.cfg.MaxBackoff
-		}
+	v, err := recoverRun(j.Run)
+	if err != nil {
+		v = nil
 	}
-	res.Duration = time.Since(start)
-	return res
+	return Result{ID: j.ID, Index: index, Value: v, Err: err, Attempts: 1, Duration: time.Since(start)}
 }
 
 // recoverRun invokes fn, converting a panic into a *PanicError.

@@ -7,21 +7,18 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // fakeProgress counts callbacks; safe for concurrent use.
 type fakeProgress struct {
-	total, done, failed, retried atomic.Int64
+	total, done, failed atomic.Int64
 }
 
 func (p *fakeProgress) AddTotal(n int) { p.total.Add(int64(n)) }
 func (p *fakeProgress) JobDone()       { p.done.Add(1) }
 func (p *fakeProgress) JobFailed()     { p.failed.Add(1) }
-func (p *fakeProgress) JobRetried()    { p.retried.Add(1) }
 
 // intDecode is a Checkpoint.Decode reviving int payloads, so restored
 // and freshly executed results compare with ==.
@@ -93,137 +90,34 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-func TestPanicRecoveryAndRetry(t *testing.T) {
-	var attempts atomic.Int64
-	var mu sync.Mutex
-	var slept []time.Duration
+func TestPanicRecovery(t *testing.T) {
+	var runs atomic.Int64
 	prog := &fakeProgress{}
-	eng := New(Config{
-		Workers: 2, MaxAttempts: 3, Backoff: 10 * time.Millisecond,
-		MaxBackoff: 100 * time.Millisecond, Progress: prog,
-		sleep: func(d time.Duration) { mu.Lock(); slept = append(slept, d); mu.Unlock() },
+	results, err := New(Config{Workers: 2, Progress: prog}).Run([]Job{
+		{ID: "panics", Run: func() (any, error) { runs.Add(1); panic("boom") }},
+		{ID: "ok", Run: func() (any, error) { return "ok", nil }},
 	})
-	results, err := eng.Run([]Job{{
-		ID: "flaky",
-		Run: func() (any, error) {
-			if attempts.Add(1) < 3 {
-				panic("transient")
-			}
-			return "ok", nil
-		},
-	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := results[0]
-	if r.Err != nil || r.Value != "ok" || r.Attempts != 3 {
-		t.Fatalf("flaky job: value=%v err=%v attempts=%d", r.Value, r.Err, r.Attempts)
+	if !r.Failed() || r.Value != nil || r.Attempts != 1 || runs.Load() != 1 {
+		t.Fatalf("panicking job: value=%v err=%v attempts=%d runs=%d", r.Value, r.Err, r.Attempts, runs.Load())
 	}
-	if prog.retried.Load() != 2 || prog.done.Load() != 1 || prog.failed.Load() != 0 {
-		t.Fatalf("progress: retried=%d done=%d failed=%d",
-			prog.retried.Load(), prog.done.Load(), prog.failed.Load())
+	if !strings.Contains(r.Err.Error(), "job panicked: boom") {
+		t.Fatalf("panic error %q", r.Err)
 	}
-	// Full jitter: each sleep is uniform in [0, ceiling], ceilings
-	// doubling from Backoff.
-	ceilings := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if len(slept) != len(ceilings) {
-		t.Fatalf("backoff sleeps = %v, want %d draws", slept, len(ceilings))
+	if results[1].Err != nil || results[1].Value != "ok" {
+		t.Fatalf("the other job: %+v", results[1])
 	}
-	for i, d := range slept {
-		if d < 0 || d > ceilings[i] {
-			t.Fatalf("sleep %d = %v outside [0, %v]", i, d, ceilings[i])
-		}
-	}
-}
-
-func TestBackoffCap(t *testing.T) {
-	var mu sync.Mutex
-	var slept []time.Duration
-	eng := New(Config{
-		Workers: 1, MaxAttempts: 4, Backoff: 40 * time.Millisecond,
-		MaxBackoff: 50 * time.Millisecond,
-		sleep:      func(d time.Duration) { mu.Lock(); slept = append(slept, d); mu.Unlock() },
-	})
-	results, err := eng.Run([]Job{{
-		ID:  "doomed",
-		Run: func() (any, error) { return nil, errors.New("always") },
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !results[0].Failed() || results[0].Attempts != 4 {
-		t.Fatalf("doomed job: err=%v attempts=%d", results[0].Err, results[0].Attempts)
-	}
-	ceilings := []time.Duration{40 * time.Millisecond, 50 * time.Millisecond, 50 * time.Millisecond}
-	if len(slept) != len(ceilings) {
-		t.Fatalf("backoff sleeps = %v, want %d draws", slept, len(ceilings))
-	}
-	for i, d := range slept {
-		if d < 0 || d > ceilings[i] {
-			t.Fatalf("sleep %d = %v outside [0, %v] (doubling capped at MaxBackoff)", i, d, ceilings[i])
-		}
-	}
-}
-
-func TestBackoffFullJitterBounds(t *testing.T) {
-	// Pin the jitter contract exactly: the ceiling passed to the draw
-	// doubles from Backoff and caps at MaxBackoff, and the slept
-	// duration is precisely what the draw returns. A hook returning the
-	// maximum recovers the old deterministic schedule; returning 0
-	// sleeps not at all.
-	for _, mode := range []string{"max", "zero"} {
-		var mu sync.Mutex
-		var slept []time.Duration
-		var ceilings []int64
-		eng := New(Config{
-			Workers: 1, MaxAttempts: 5, Backoff: 10 * time.Millisecond,
-			MaxBackoff: 25 * time.Millisecond,
-			sleep:      func(d time.Duration) { mu.Lock(); slept = append(slept, d); mu.Unlock() },
-			jitter: func(n int64) int64 {
-				mu.Lock()
-				ceilings = append(ceilings, n-1)
-				mu.Unlock()
-				if mode == "zero" {
-					return 0
-				}
-				return n - 1
-			},
-		})
-		results, err := eng.Run([]Job{{
-			ID:  "doomed",
-			Run: func() (any, error) { return nil, errors.New("always") },
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !results[0].Failed() || results[0].Attempts != 5 {
-			t.Fatalf("%s: doomed job: err=%v attempts=%d", mode, results[0].Err, results[0].Attempts)
-		}
-		wantCeil := []int64{
-			int64(10 * time.Millisecond), int64(20 * time.Millisecond),
-			int64(25 * time.Millisecond), int64(25 * time.Millisecond),
-		}
-		if len(ceilings) != len(wantCeil) {
-			t.Fatalf("%s: %d draws, want %d", mode, len(ceilings), len(wantCeil))
-		}
-		for i, c := range ceilings {
-			if c != wantCeil[i] {
-				t.Fatalf("%s: draw %d ceiling = %v, want %v", mode, i, time.Duration(c), time.Duration(wantCeil[i]))
-			}
-			want := time.Duration(0)
-			if mode == "max" {
-				want = time.Duration(wantCeil[i])
-			}
-			if slept[i] != want {
-				t.Fatalf("%s: sleep %d = %v, want %v", mode, i, slept[i], want)
-			}
-		}
+	if prog.done.Load() != 1 || prog.failed.Load() != 1 {
+		t.Fatalf("progress: done=%d failed=%d", prog.done.Load(), prog.failed.Load())
 	}
 }
 
 func TestPermanentFailureIsPerJob(t *testing.T) {
 	prog := &fakeProgress{}
-	results, err := New(Config{Workers: 4, MaxAttempts: 2, Backoff: time.Microsecond, Progress: prog}).Run([]Job{
+	results, err := New(Config{Workers: 4, Progress: prog}).Run([]Job{
 		{ID: "good", Run: func() (any, error) { return 1, nil }},
 		{ID: "panics", Run: func() (any, error) { panic("boom") }},
 		{ID: "errors", Run: func() (any, error) { return nil, errors.New("nope") }},
@@ -238,12 +132,11 @@ func TestPermanentFailureIsPerJob(t *testing.T) {
 	if !errors.As(results[1].Err, &pe) || pe.Value != "boom" || !strings.Contains(pe.Stack, "goroutine") {
 		t.Fatalf("panicking job should yield a *PanicError with a stack, got %v", results[1].Err)
 	}
-	if !results[2].Failed() || results[2].Attempts != 2 {
+	if !results[2].Failed() || results[2].Attempts != 1 {
 		t.Fatalf("erroring job: %+v", results[2])
 	}
-	if prog.done.Load() != 1 || prog.failed.Load() != 2 || prog.retried.Load() != 2 {
-		t.Fatalf("progress: done=%d failed=%d retried=%d",
-			prog.done.Load(), prog.failed.Load(), prog.retried.Load())
+	if prog.done.Load() != 1 || prog.failed.Load() != 2 {
+		t.Fatalf("progress: done=%d failed=%d", prog.done.Load(), prog.failed.Load())
 	}
 }
 

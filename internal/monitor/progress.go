@@ -11,7 +11,7 @@ import (
 )
 
 // Progress is a thread-safe live tracker for batch executions (the
-// fleet engine's counters): jobs done/failed/retried, an ETA from the
+// fleet engine's counters): jobs done/failed, an ETA from the
 // completion rate, and an optional externally sampled work counter
 // (e.g. radio.SimulatedSlots) reported as a rate. Status lines are
 // written to w — cmd/experiments points it at stderr so stdout stays a
@@ -32,14 +32,13 @@ type Progress struct {
 	total      int
 	done       int
 	failed     int
-	retried    int
 }
 
 // Snapshot is a consistent view of a Progress.
 type Snapshot struct {
-	// Total, Done, Failed and Retried are the job counters. Failed jobs
-	// are included in neither Done nor Retried.
-	Total, Done, Failed, Retried int
+	// Total, Done and Failed are the job counters. Failed jobs are not
+	// included in Done.
+	Total, Done, Failed int
 	// Elapsed is the time since the tracker was created.
 	Elapsed time.Duration
 	// Units is the sampled work counter delta since creation (0 when no
@@ -112,19 +111,11 @@ func (p *Progress) JobDone() {
 	p.maybePrint(false)
 }
 
-// JobFailed records one job that exhausted its attempts.
+// JobFailed records one failed job.
 func (p *Progress) JobFailed() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.failed++
-	p.maybePrint(false)
-}
-
-// JobRetried records one failed attempt that will be retried.
-func (p *Progress) JobRetried() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.retried++
 	p.maybePrint(false)
 }
 
@@ -140,7 +131,6 @@ func (p *Progress) snapshotLocked() Snapshot {
 		Total:   p.total,
 		Done:    p.done,
 		Failed:  p.failed,
-		Retried: p.retried,
 		Elapsed: p.now().Sub(p.start),
 	}
 	if p.unitsFunc != nil {
@@ -178,9 +168,6 @@ func (p *Progress) maybePrint(force bool) {
 	fmt.Fprintf(&b, "[%s] %d/%d jobs", p.label, s.Done, s.Total)
 	if s.Failed > 0 {
 		fmt.Fprintf(&b, " (%d failed)", s.Failed)
-	}
-	if s.Retried > 0 {
-		fmt.Fprintf(&b, " (%d retried)", s.Retried)
 	}
 	if p.unitsFunc != nil {
 		fmt.Fprintf(&b, " | %s %s | %s %s/s",

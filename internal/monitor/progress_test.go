@@ -35,13 +35,11 @@ func TestSnapshotCountersAndETA(t *testing.T) {
 		p.JobDone()
 	}
 	p.JobFailed()
-	p.JobRetried()
-	p.JobRetried()
 	units = 600
 	clock.advance(10 * time.Second)
 
 	s := p.Snapshot()
-	if s.Total != 10 || s.Done != 4 || s.Failed != 1 || s.Retried != 2 {
+	if s.Total != 10 || s.Done != 4 || s.Failed != 1 {
 		t.Fatalf("counters: %+v", s)
 	}
 	if s.Elapsed != 10*time.Second {
@@ -78,13 +76,12 @@ func TestStatusLineFormat(t *testing.T) {
 	p.JobDone()
 	p.JobDone()
 	p.JobFailed()
-	p.JobRetried()
 	clock.advance(2 * time.Second)
 	p.Finish()
 
 	line := strings.TrimSpace(buf.String())
 	for _, want := range []string{
-		"[sweep] 2/8 jobs", "(1 failed)", "(1 retried)",
+		"[sweep] 2/8 jobs", "(1 failed)",
 		"1.5M slots", "750.0k slots/s", "ETA",
 	} {
 		if !strings.Contains(line, want) {

@@ -81,14 +81,6 @@ func (p *kernelProto) Send(slot int64) radio.Message {
 func (p *kernelProto) Recv(slot int64, msg radio.Message) { p.recvs++ }
 func (p *kernelProto) Done() bool                         { return p.local >= p.decideAt }
 
-// Quiescent implements radio.Quiescent: once a node has decided it is
-// permanently silent (every future Send returns nil before touching the
-// coin) and receptions only bump a counter, so the tiled engine may
-// drop it from the Send sweep. This is the protocol trait the tiled
-// kernel's late-run throughput comes from; the quiescence differential
-// test pins that declaring it does not change any Result field.
-func (p *kernelProto) Quiescent() bool { return p.local >= p.decideAt }
-
 func benchSplitmix(z uint64) uint64 {
 	z += 0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -208,8 +200,11 @@ type stepper interface{ Step() bool }
 
 // Engine variants measured by the bench: the retained seed loop, the
 // engine as one tile (Tiles=0), and the engine over Hilbert-blocked
-// tiles. Both engine variants use the Quiescent seam the synthetic
-// protocol declares.
+// tiles. Every variant ticks decided nodes until the budget ends; the
+// committed BENCH_kernel.json figures were measured while the engine
+// still let a protocol declare itself permanently silent and dropped
+// such nodes from its Send sweep, which raised the csr and tiled
+// columns.
 const (
 	benchRef = iota
 	benchCSR

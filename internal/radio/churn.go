@@ -51,9 +51,6 @@ func newChurnState(plan *churn.Plan, cfg *Config, n int) (*churnState, error) {
 	if plan.N() != n {
 		return nil, fmt.Errorf("radio: churn plan compiled for %d nodes, graph has %d", plan.N(), n)
 	}
-	if cfg.Medium != nil {
-		return nil, fmt.Errorf("radio: churn and a pluggable medium cannot be combined (the medium is bound to a static graph)")
-	}
 
 	// Every node that (re)joins restarts from cleared protocol state,
 	// and under retraction repair every endpoint of an added edge must

@@ -77,11 +77,10 @@ type Config struct {
 	// output is bit-identical to the static engine. Batches apply
 	// single-threaded, so churned runs are bit-identical at any Workers
 	// and Tiles setting. Compile the plan for exactly G.N() nodes;
-	// churn cannot be combined with a pluggable Medium or with clock
-	// skew (the half-slot rule reads a static neighbor view), joining
-	// nodes' protocols must implement Restartable, retraction repair
-	// additionally needs Colored, and a node cannot be both a fault
-	// crash/restart victim and a churn subject.
+	// joining nodes' protocols must implement Restartable, retraction
+	// repair additionally needs Colored, and a node cannot be both a
+	// fault crash/restart victim and a churn subject. Which seams combine
+	// with which is the composition table's to say (compose.go).
 	Churn *churn.Plan
 	// Workers > 1 runs the tiles of a slot (see Tiles) on that many
 	// goroutines, with dynamic tile assignment. Tiles are the only
@@ -199,17 +198,6 @@ type Engine struct {
 	// starts): re-inserts into the awake lists.
 	rejoin []int32
 
-	// silent marks nodes whose protocols declared permanent quiescence
-	// (see the Quiescent interface); the Send sweep skips them and the
-	// activity lists compact them away. Allocated only when a protocol
-	// implements Quiescent and neither faults nor churn can revive a
-	// node.
-	silent      []bool
-	silentCount int
-	// skip is the Send phase's exclusion filter: off, or silent when it
-	// exists (the two never coexist).
-	skip []bool
-
 	// Reception-medium state; nil unless Config.Medium is set
 	// (medium.go). listenFn is the standing listener predicate handed to
 	// the medium (built once, so the slot loop allocates no closures) and
@@ -257,6 +245,10 @@ func newEngine(cfg Config, offsets []int8) (*Engine, error) {
 	if err := validateConfig(&cfg); err != nil {
 		return nil, err
 	}
+	skew := offsets != nil || cfg.Faults.HasSkew()
+	if err := CheckSeams(cfg.Faults != nil, skew, cfg.Medium != nil, cfg.Churn != nil); err != nil {
+		return nil, err
+	}
 	n := cfg.G.N()
 	csr := cfg.G.CSR()
 	e := &Engine{
@@ -293,12 +285,6 @@ func newEngine(cfg Config, offsets []int8) (*Engine, error) {
 	if offsets != nil {
 		// The half-slot rule decides every reception itself, from the
 		// neighbor rows it read when the transmissions began.
-		if cfg.Medium != nil {
-			return nil, errors.New("radio: clock skew cannot combine with a pluggable medium (the half-slot rule owns reception)")
-		}
-		if cfg.Churn != nil {
-			return nil, errors.New("radio: clock skew cannot combine with churn (the half-slot rule reads a static neighbor view)")
-		}
 		hs, err := newHalfSlot(offsets, n)
 		if err != nil {
 			return nil, err
@@ -343,30 +329,7 @@ func newEngine(cfg Config, offsets []int8) (*Engine, error) {
 		tiles = cfg.Workers
 	}
 	e.ts = newTileState(tiles, n, e.rowStart, e.rowEnd, e.edges, e.med == nil && e.hs == nil)
-	if cfg.Faults == nil && cfg.Churn == nil && anyQuiescent(cfg.Protocols) {
-		// Fault and churn profiles disable quiescence: a restart or
-		// rejoin must be able to revive any node, and revived nodes
-		// re-enter via the pending list only if they never left the
-		// activity lists (conflict repair likewise re-contends a
-		// silenced node).
-		e.silent = make([]bool, n)
-	}
-	e.skip = e.off
-	if e.silent != nil {
-		e.skip = e.silent
-	}
 	return e, nil
-}
-
-// anyQuiescent reports whether some protocol implements Quiescent, the
-// only case in which the silent flags can ever be set.
-func anyQuiescent(protos []Protocol) bool {
-	for _, p := range protos {
-		if _, ok := p.(Quiescent); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // validateConfig checks and normalizes a Config in place. Shared with
@@ -446,23 +409,6 @@ func (e *Engine) Step() bool {
 	// ascending order, which keeps float accumulation (SINR) the same at
 	// any tile count: these fold pending in every slot.
 	e.mergePending(ob != nil || e.med != nil || e.hs != nil)
-	// Quiescence compaction: once a quarter of the awake list is
-	// permanently silent, rewrite it without those nodes (silent nodes
-	// are never in pending — they quiesced after waking). Amortized
-	// O(1) per silenced node; the silent flags stay set (the nodes
-	// remain valid listeners for the resolve phase).
-	if e.silentCount > 0 && e.silentCount*4 >= len(e.awakeList)+len(e.pending) {
-		sil := e.silent
-		w := 0
-		for _, i := range e.awakeList {
-			if !sil[i] {
-				e.awakeList[w] = i
-				w++
-			}
-		}
-		e.awakeList = e.awakeList[:w]
-		e.silentCount = 0
-	}
 	ts.segment(e.awakeList, ts.aSeg)
 	ts.segment(e.pending, ts.pSeg)
 
@@ -538,12 +484,6 @@ func (e *Engine) decide(t int64, ob Observer, met *obs.Metrics) {
 		}
 		if met != nil {
 			met.AddDecision()
-		}
-		if e.silent != nil {
-			if q, ok := e.cfg.Protocols[v].(Quiescent); ok && q.Quiescent() {
-				e.silent[v] = true
-				e.silentCount++
-			}
 		}
 	}
 	e.dec = dec[:0]

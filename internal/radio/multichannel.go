@@ -14,7 +14,7 @@ import (
 // engine's slot loop with a medium.MultiChannel instance bound on the
 // reception seam, so Workers and Tiles, fault profiles (Config.Faults)
 // and the metrics/observer seams all compose with the channel hopping.
-// Skew profiles are rejected: the half-slot rule owns reception.
+// Skew profiles are rejected with an *UnsupportedError (compose.go).
 func RunMultiChannel(cfg Config, channels int, hopSeed int64) (*Result, error) {
 	if channels < 1 {
 		return nil, fmt.Errorf("radio: %d channels", channels)

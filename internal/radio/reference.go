@@ -1,9 +1,6 @@
 package radio
 
-import (
-	"errors"
-	"sync"
-)
+import "sync"
 
 // This file retains the pre-CSR slot loop — the seed implementation the
 // model semantics were originally validated against — as an executable
@@ -36,21 +33,15 @@ type ReferenceEngine struct {
 }
 
 // NewReferenceEngine validates the configuration and prepares a
-// reference run. It accepts and rejects exactly the same inputs as
-// NewEngine.
+// reference run. It accepts what NewEngine accepts, less the seams the
+// composition table keeps off the reference engine (Faults, Medium and
+// Churn): runs with those are pinned against the CSR kernel instead.
 func NewReferenceEngine(cfg Config) (*ReferenceEngine, error) {
 	if err := validateConfig(&cfg); err != nil {
 		return nil, err
 	}
-	if cfg.Faults != nil {
-		// The reference engine is the executable spec of the fault-free
-		// model; fault runs are pinned against the CSR kernel instead.
-		return nil, errors.New("radio: the reference engine does not support fault injection")
-	}
-	if cfg.Medium != nil {
-		// Likewise the spec of the paper's reception rule only; medium
-		// runs are pinned against the CSR kernel's graph medium.
-		return nil, errors.New("radio: the reference engine does not support a pluggable medium")
+	if err := checkSeams(cfg.Faults != nil, false, cfg.Medium != nil, cfg.Churn != nil, true); err != nil {
+		return nil, err
 	}
 	n := cfg.G.N()
 	e := &ReferenceEngine{

@@ -40,14 +40,6 @@ import (
 // the half-slot rule resolves a slot over all transmitters at once, so
 // under either the tiles only run sweep 1's Send and need no row
 // spans either.
-//
-// The second ingredient is the Quiescent seam: the synthetic bench
-// protocol and many real ones permanently fall silent once they have
-// decided, and a long asynchronous deployment therefore spends most
-// Send calls ticking nodes that can never transmit again. A protocol
-// that declares this lets the engine drop it from the Send sweep
-// entirely (deliveries to it are still resolved and counted, so every
-// Result field is unchanged).
 
 // maxTiles bounds the tile count: the boundary exchange keeps a
 // tiles×tiles bucket matrix of slice headers, so the cap keeps that
@@ -70,22 +62,6 @@ func AutoTiles(n int) int {
 		t = maxTiles
 	}
 	return t
-}
-
-// Quiescent is an optional Protocol extension: a protocol whose
-// Quiescent() returns true declares that it has permanently fallen
-// silent — every future Send would return nil and its future behavior
-// does not depend on further receptions. The engine consults it once,
-// in the slot the node's Done() first reports true, and then drops the
-// node from the Send sweep and skips its Recv calls on the built-in
-// rule; channel statistics are unaffected (the node keeps resolving and
-// counting as a listener), so results stay bit-identical to an engine
-// that keeps ticking the node — which is what the reference engine
-// does, and what the quiescence differential test checks. Fault and
-// churn runs ignore the seam (a restart must be able to revive any
-// node).
-type Quiescent interface {
-	Quiescent() bool
 }
 
 // crossRef is one cross-tile reception candidate produced by sweep 1:
@@ -277,11 +253,9 @@ func (e *Engine) sweep(t int64, fn func(*Engine, int, int64)) {
 func (e *Engine) tileSendResolve(k int, t int64) {
 	ts := e.ts
 	tl := &ts.t[k]
-	// Permanently silent (Quiescent) nodes are skipped: Send would
-	// return nil.
 	tx, dec := tl.tx[:0], tl.dec[:0]
-	tx, dec = e.b.Send(t, e.awakeList[ts.aSeg[k]:ts.aSeg[k+1]], e.skip, e.out, tx, dec)
-	tx, dec = e.b.Send(t, e.pending[ts.pSeg[k]:ts.pSeg[k+1]], e.skip, e.out, tx, dec)
+	tx, dec = e.b.Send(t, e.awakeList[ts.aSeg[k]:ts.aSeg[k+1]], e.off, e.out, tx, dec)
+	tx, dec = e.b.Send(t, e.pending[ts.pSeg[k]:ts.pSeg[k+1]], e.off, e.out, tx, dec)
 	tl.tx, tl.dec = tx, dec
 	// Counter bookkeeping on tile-owned state; the count sum and max
 	// fold after sweep 2, and the OnTransmit/metrics seams run in a
@@ -431,10 +405,5 @@ func (e *Engine) deliverOne(t int64, u int32, tl *deliverTally, ob Observer, met
 	if met != nil {
 		met.AddDelivery()
 	}
-	if e.silent == nil || !e.silent[u] {
-		// A quiescent node's behavior no longer depends on
-		// receptions, so the Recv call is skipped; the delivery
-		// itself is counted above all the same.
-		e.b.Recv(t, u, msg)
-	}
+	e.b.Recv(t, u, msg)
 }

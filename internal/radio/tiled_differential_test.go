@@ -59,9 +59,12 @@ var tiledVariants = []struct {
 }{
 	{"w1/t2", 1, 2},
 	{"w4/t2", 4, 2},
+	{"w1/t4", 1, 4},
+	{"w4/t4", 4, 4},
 	{"w1/t7", 1, 7},
 	{"w4/t7", 4, 7},
 	{"w16/t7", 16, 7},
+	{"w4/t13", 4, 13},
 	{"w4/auto", 4, -1},
 }
 
@@ -240,15 +243,13 @@ func TestTiledDifferentialWithFaults(t *testing.T) {
 	}
 }
 
-// TestTiledQuiescenceDifferential pins the Quiescent seam on the
-// synthetic bench protocol (the workload the headline speedup is
-// measured on): nodes decide mid-run and declare permanent silence, the
-// engine drops them from the Send sweep and skips their Recv calls, and
-// every Result field must still match a run whose protocols hide the
-// seam — which keeps ticking them — across all five wakeup schedules
-// and at one tile and several. Protocol state is deliberately NOT
-// compared: a quiescent node's recv counter stops, which is exactly the
-// behavior independence the seam declares.
+// TestTiledQuiescenceDifferential pins the quiet tail on the synthetic
+// bench protocol (the workload the kernel speedup is measured on): nodes
+// decide mid-run and then never transmit again, yet stay awake and keep
+// being ticked and delivered to until the budget ends. Across all five
+// wakeup schedules, every Result field and every node's protocol state
+// at one tile and several, sequential and parallel, must match the
+// reference loop, which drives each node through per-node calls.
 func TestTiledQuiescenceDifferential(t *testing.T) {
 	const n = 2000
 	const slots = 3000
@@ -260,37 +261,44 @@ func TestTiledQuiescenceDifferential(t *testing.T) {
 			t.Parallel()
 			// A small phase length keeps every schedule's wake span inside
 			// the budget (sequential's span is n·p/8), so nodes decide
-			// mid-run and the quiescent tail is long.
+			// mid-run and the quiet tail is long.
 			wake := pat.Make(n, 6, 5)
-			run := func(workers, tiles int, hide bool) *radio.Result {
+			run := func(workers, tiles int, reference bool) (*radio.Result, []kernelProto) {
 				protos := w.protocols()
-				if hide {
-					for i, p := range protos {
-						protos[i] = plainProto{p}
-					}
-				}
 				cfg := radio.Config{
 					G: d.G, Protocols: protos, Wake: wake,
 					MaxSlots: slots, NEstimate: n,
 					Workers: workers, Tiles: tiles,
 				}
-				res, err := radio.Run(cfg)
+				run := radio.Run
+				if reference {
+					run = radio.RunReference
+				}
+				res, err := run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res
+				state := make([]kernelProto, n)
+				for i, p := range protos {
+					state[i] = *p.(*kernelProto)
+				}
+				return res, state
 			}
-			base := run(1, 0, true)
+			base, baseState := run(1, 0, true)
 			for _, v := range []struct {
 				label          string
 				workers, tiles int
 			}{{"w1/t0", 1, 0}, {"w1/t4", 1, 4}, {"w4/t4", 4, 4}, {"w4/t13", 4, 13}} {
-				if got := run(v.workers, v.tiles, false); !reflect.DeepEqual(got, base) {
-					t.Fatalf("%s: quiescent tiled run diverged\n base: %+v\n got:  %+v", v.label, base, got)
+				got, state := run(v.workers, v.tiles, false)
+				if !reflect.DeepEqual(got, base) {
+					t.Fatalf("%s: run diverged from the reference loop\n base: %+v\n got:  %+v", v.label, base, got)
+				}
+				if !reflect.DeepEqual(state, baseState) {
+					t.Fatalf("%s: protocol state diverged from the reference loop", v.label)
 				}
 			}
-			// The seam must actually have engaged: most nodes decide well
-			// before the budget, so the silent set is large by the end.
+			// The quiet tail must be real: most nodes decide well before
+			// the budget, so most of the run's awake set is silent.
 			decided := 0
 			for _, s := range base.DecideSlot {
 				if s >= 0 && s < slots-100 {
@@ -303,10 +311,6 @@ func TestTiledQuiescenceDifferential(t *testing.T) {
 		})
 	}
 }
-
-// plainProto hides every method of a protocol beyond radio.Protocol,
-// Quiescent included.
-type plainProto struct{ radio.Protocol }
 
 // slotEvent is one observer callback for the event-stream differential.
 type slotEvent struct {

@@ -1,8 +1,7 @@
 // Package serve is the serving layer of the reproduction: a long-running
 // HTTP service that exposes the coloring protocol as queued, cancellable,
-// observable jobs. It turns the batch machinery the repo already has —
-// the fleet execution engine, the obs metrics registry, the monitor
-// progress tracker — into a daemon (cmd/colord) with explicit
+// observable jobs. It turns the library entry points and the obs
+// metrics registry into a daemon (cmd/colord) with explicit
 // backpressure and streaming results.
 //
 // The API surface:
@@ -305,7 +304,8 @@ type JobStatus struct {
 	Submitted time.Time  `json:"submitted"`
 	Started   *time.Time `json:"started,omitempty"`
 	Finished  *time.Time `json:"finished,omitempty"`
-	// Attempts counts executions (fleet retries included).
+	// Attempts counts the store's claims of the job: a job whose lease
+	// expired with its replica is claimed and run again.
 	Attempts int `json:"attempts,omitempty"`
 	// CacheHit marks a topology job that reused a cached deployment.
 	CacheHit bool `json:"cache_hit,omitempty"`
@@ -369,6 +369,6 @@ type Health struct {
 	// UptimeSeconds is the time since the server was created.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// SlotsPerSec is the mean process-wide simulation rate since the
-	// first simulated slot.
+	// server was created.
 	SlotsPerSec float64 `json:"slots_per_sec"`
 }

@@ -14,9 +14,7 @@ import (
 	"time"
 
 	"radiocolor"
-	"radiocolor/internal/fleet"
 	"radiocolor/internal/graph"
-	"radiocolor/internal/monitor"
 	"radiocolor/internal/obs"
 	"radiocolor/internal/radio"
 	"radiocolor/internal/store"
@@ -69,9 +67,6 @@ type Config struct {
 	// control: a single huge job should not starve the pool unnoticed).
 	// Defaults to 200000.
 	MaxNodes int
-	// MaxAttempts is the fleet retry bound per job. Defaults to 1 — the
-	// simulation is deterministic, so failures are too.
-	MaxAttempts int
 	// RetryAfter is the hint sent with 429 responses. Defaults to 1s.
 	RetryAfter time.Duration
 	// JobTimeout bounds each job's wall-clock execution; a job that
@@ -126,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 200_000
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 1
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -200,16 +192,17 @@ func (j *job) closeDone() {
 // or many) sharing one durable store form a replica group: each job is
 // executed by exactly one of them, arbitrated by the store's leases.
 type Server struct {
-	cfg      Config
-	mux      *http.ServeMux
-	st       store.Store
-	ctrl     *obs.Control
-	cache    *lru
-	engine   *fleet.Engine
-	progress *monitor.Progress
-	obsReg   *obs.Metrics
-	latency  *histogram
-	start    time.Time
+	cfg     Config
+	mux     *http.ServeMux
+	st      store.Store
+	ctrl    *obs.Control
+	cache   *lru
+	obsReg  *obs.Metrics
+	latency *histogram
+	start   time.Time
+	// startSlots is radio.SimulatedSlots at creation, the base of the
+	// /healthz simulation rate.
+	startSlots int64
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -235,6 +228,11 @@ type Server struct {
 	canceled  atomic.Int64
 	timedOut  atomic.Int64
 	inflight  atomic.Int64
+	// runsOK and runsFailed count this replica's job executions by
+	// outcome (the /healthz job counters). They move before the commit,
+	// so a client that sees a job finish sees it counted.
+	runsOK     atomic.Int64
+	runsFailed atomic.Int64
 }
 
 // New builds a Server and starts its worker pool. With a durable store
@@ -248,30 +246,20 @@ func New(cfg Config) *Server {
 		st = store.NewMemory(cfg.Control)
 	}
 	s := &Server{
-		cfg:      cfg,
-		mux:      http.NewServeMux(),
-		st:       st,
-		ctrl:     cfg.Control,
-		cache:    newLRU(cfg.CacheSize),
-		progress: monitor.NewProgress(nil, "colord"),
-		obsReg:   obs.NewMetrics(),
-		latency:  newHistogram(defaultLatencyBounds),
-		start:    cfg.now(),
-		stop:     make(chan struct{}),
-		wake:     make(chan struct{}, 1),
-		jobs:     make(map[string]*job),
+		cfg:        cfg,
+		mux:        http.NewServeMux(),
+		st:         st,
+		ctrl:       cfg.Control,
+		cache:      newLRU(cfg.CacheSize),
+		obsReg:     obs.NewMetrics(),
+		latency:    newHistogram(defaultLatencyBounds),
+		start:      cfg.now(),
+		startSlots: radio.SimulatedSlots(),
+		stop:       make(chan struct{}),
+		wake:       make(chan struct{}, 1),
+		jobs:       make(map[string]*job),
 	}
-	s.progress.SetUnits("slots", radio.SimulatedSlots)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	// Each worker runs its job through a single-job fleet batch: the
-	// engine contributes panic recovery, the retry loop, wall-time
-	// accounting, and the monitor.Progress wiring — the same execution
-	// substrate the experiment suite uses.
-	s.engine = fleet.New(fleet.Config{
-		Workers:     1,
-		MaxAttempts: cfg.MaxAttempts,
-		Progress:    s.progress,
-	})
 	s.routes()
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -492,21 +480,17 @@ func (s *Server) execute(rec *store.Job) {
 	}()
 
 	s.inflight.Add(1)
-	results, _ := s.engine.Run([]fleet.Job{{
-		ID: j.id,
-		Run: func() (any, error) {
-			out, err := s.runJob(ctx, j)
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
-		},
-	}})
+	runStart := time.Now()
+	outcome, runErr := s.runRecovered(ctx, j)
+	s.latency.Observe(time.Since(runStart))
+	if runErr == nil {
+		s.runsOK.Add(1)
+	} else {
+		s.runsFailed.Add(1)
+	}
 	s.inflight.Add(-1)
 	close(hbStop)
 	hbWG.Wait()
-	res := results[0]
-	s.latency.Observe(res.Duration)
 
 	if leaseLost.Load() {
 		s.discard(j)
@@ -517,21 +501,19 @@ func (s *Server) execute(rec *store.Job) {
 	wasCanceled := j.canceled
 	j.mu.Unlock()
 	var state store.State
-	var outcome *radiocolor.Outcome
 	var errMsg string
 	switch {
-	case res.Err == nil:
+	case runErr == nil:
 		state = store.StateDone
-		outcome = res.Value.(*radiocolor.Outcome)
-	case !wasCanceled && j.timeout > 0 && errors.Is(res.Err, context.DeadlineExceeded):
+	case !wasCanceled && j.timeout > 0 && errors.Is(runErr, context.DeadlineExceeded):
 		state = store.StateTimedOut
 		errMsg = fmt.Sprintf("job exceeded its %v wall-clock timeout", j.timeout)
-	case wasCanceled || errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded):
+	case wasCanceled || errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded):
 		state = store.StateCanceled
-		errMsg = res.Err.Error()
+		errMsg = runErr.Error()
 	default:
 		state = store.StateFailed
-		errMsg = res.Err.Error()
+		errMsg = runErr.Error()
 	}
 
 	if state == store.StateCanceled && !wasCanceled && s.isDraining() && s.st.Durable() {
@@ -550,6 +532,17 @@ func (s *Server) execute(rec *store.Job) {
 	}
 
 	s.commit(j, rec, state, outcome, errMsg)
+}
+
+// runRecovered runs the job, turning a panic into its error so that a
+// crashing job fails instead of killing its worker.
+func (s *Server) runRecovered(ctx context.Context, j *job) (out *radiocolor.Outcome, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("job panicked: %v", r)
+		}
+	}()
+	return s.runJob(ctx, j)
 }
 
 // commit writes the terminal state to the store and, if this replica's
@@ -1026,17 +1019,19 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	snap := s.progress.Snapshot()
+	uptime := s.now().Sub(s.start).Seconds()
 	h := Health{
 		Status:        "ok",
 		Replica:       s.cfg.Replica,
 		QueueDepth:    s.queuedCount(),
 		QueueCapacity: s.cfg.QueueCap,
 		Inflight:      int(s.inflight.Load()),
-		JobsDone:      snap.Done,
-		JobsFailed:    snap.Failed,
-		UptimeSeconds: s.now().Sub(s.start).Seconds(),
-		SlotsPerSec:   snap.UnitsPerSec,
+		JobsDone:      int(s.runsOK.Load()),
+		JobsFailed:    int(s.runsFailed.Load()),
+		UptimeSeconds: uptime,
+	}
+	if uptime > 0 {
+		h.SlotsPerSec = float64(radio.SimulatedSlots()-s.startSlots) / uptime
 	}
 	code := http.StatusOK
 	if s.isDraining() {

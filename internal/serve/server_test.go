@@ -772,7 +772,7 @@ func TestRetentionPrunesTerminalJobs(t *testing.T) {
 	}
 }
 
-// TestPanicInJobIsContained ensures the fleet engine's panic recovery
+// TestPanicInJobIsContained ensures the worker's panic recovery
 // turns a crashing job into a failed status instead of killing a
 // worker.
 func TestPanicInJobIsContained(t *testing.T) {

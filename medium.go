@@ -26,8 +26,8 @@ import (
 //
 // Fault injection (Options.Faults) composes with every medium — crash
 // faults silence nodes before the medium resolves a slot, jam/loss
-// suppress individual receptions after — except clock skew, which is
-// rejected together with a medium: the half-slot rule owns reception.
+// suppress individual receptions after — except clock skew, which
+// Options.Validate rejects together with a medium (ErrUnsupported).
 type MediumConfig struct {
 	// Kind is "graph", "sinr" or "multichannel" ("" means "graph").
 	Kind string

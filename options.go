@@ -119,7 +119,7 @@ type Options struct {
 	// then carries a ChurnOutcome with the applied-event counts and the
 	// proper-coloring verdict over the nodes still present. Mobility
 	// needs positions (geometric entry points only), and Churn cannot
-	// combine with a Medium or clock-skew faults.
+	// combine with a Medium or clock-skew faults (ErrUnsupported).
 	Churn *ChurnConfig
 
 	// Medium, when non-nil, swaps the reception model — SINR with
@@ -128,7 +128,8 @@ type Options struct {
 	// the engine's built-in fast path, bit-identical to earlier
 	// releases. A "sinr" medium needs node positions, so it works only
 	// through the geometric entry points (ColorUnitDisk and friends),
-	// and no medium combines with clock-skew fault profiles.
+	// and no medium combines with clock-skew fault profiles
+	// (ErrUnsupported).
 	Medium *MediumConfig
 
 	// Observer, when non-nil, receives every simulation event (see the
@@ -177,6 +178,12 @@ type TraceConfig struct {
 	Kinds []string
 }
 
+// ErrUnsupported matches, through errors.Is, the error Validate and the
+// entry points return for two options whose seams the engine does not
+// compose (a Medium or Churn with clock-skew Faults, Churn with a
+// Medium). The message names both options and the reason.
+var ErrUnsupported = radio.ErrUnsupported
+
 // Validate reports whether the options are well-formed. ColorGraph and
 // friends call it before any expensive work (graph parameter
 // measurement, simulation), so a misconfigured run fails immediately.
@@ -222,9 +229,6 @@ func (o Options) Validate() error {
 		if err := m.spec().Validate(); err != nil {
 			return fmt.Errorf("radiocolor: %w", err)
 		}
-		if o.Faults != nil && o.Faults.SkewProb > 0 {
-			return errors.New("radiocolor: a Medium cannot combine with clock-skew faults (the half-slot rule owns reception)")
-		}
 	}
 	if c := o.Churn; c.active() {
 		sch, err := c.schedule()
@@ -237,12 +241,6 @@ func (o Options) Validate() error {
 		if err := sch.Validate(0); err != nil {
 			return fmt.Errorf("radiocolor: %w", err)
 		}
-		if o.Medium != nil {
-			return errors.New("radiocolor: Churn cannot combine with a Medium (media bind to a static graph)")
-		}
-		if o.Faults != nil && o.Faults.SkewProb > 0 {
-			return errors.New("radiocolor: Churn cannot combine with clock-skew faults (the half-slot rule reads a static neighbor view)")
-		}
 		// Checked here, in caller ids, rather than by the engine, which
 		// would name a tiled run's engine slot.
 		if f := o.Faults; f != nil {
@@ -253,6 +251,12 @@ func (o Options) Validate() error {
 				}
 			}
 		}
+	}
+	// The seams the fields turn on must compose (internal/radio's
+	// composition table).
+	skew := o.Faults != nil && o.Faults.SkewProb > 0
+	if err := radio.CheckSeams(o.Faults != nil, skew, o.Medium != nil, o.Churn.active()); err != nil {
+		return err
 	}
 	if t := o.Trace; t != nil {
 		if t.Path == "" && t.W == nil {

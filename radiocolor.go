@@ -214,6 +214,15 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 	if g.N() == 0 {
 		return nil, errors.New("radiocolor: empty graph")
 	}
+	if pts == nil {
+		// The options that need positions fail before the κ pass too.
+		if c := opt.Churn; c != nil && len(c.Waypoints) > 0 {
+			return nil, errors.New("radiocolor: churn mobility needs node positions; use ColorUnitDisk (or the points job input)")
+		}
+		if m := opt.Medium; m != nil && m.spec().Kind == medium.KindSINR {
+			return nil, errors.New("radiocolor: a sinr medium needs node positions; use ColorUnitDisk (or the points job input)")
+		}
+	}
 	wk, _ := opt.wakeup() // validated above
 	var delta, k1, k2 int
 	if m := opt.Measured; m != nil {
@@ -345,9 +354,6 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 		}
 		env := churn.Env{G: g}
 		if len(sch.Waypoints) > 0 {
-			if pts == nil {
-				return nil, errors.New("radiocolor: churn mobility needs node positions; use ColorUnitDisk (or the points job input)")
-			}
 			env.Points = pts
 			env.Radius = radius
 		}
@@ -363,15 +369,10 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 
 	// Bind the reception medium (if any) against the concrete graph and
 	// placement. Validate() already rejected the medium+skew combination
-	// and malformed parameters; what is left is the environment check —
-	// SINR without positions fails here with a directed error.
+	// and malformed parameters, and SINR without positions failed above.
 	var med medium.Instance
 	if mc := opt.Medium; mc != nil {
-		spec := mc.spec()
-		if spec.Kind == medium.KindSINR && pts == nil {
-			return nil, errors.New("radiocolor: a sinr medium needs node positions; use ColorUnitDisk (or the points job input)")
-		}
-		model, merr := spec.Build()
+		model, merr := mc.spec().Build()
 		if merr != nil {
 			return nil, fmt.Errorf("radiocolor: %w", merr)
 		}
