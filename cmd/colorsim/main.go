@@ -49,7 +49,7 @@ func main() {
 		verbose  = flag.Bool("v", false, "print per-node colors")
 		traceOut = flag.String("trace", "", "stream all simulation events to this JSONL file (summarize with tracestat)")
 		traceN   = flag.Int("trace-tail", 0, "dump the last N radio events after the run")
-		metrics  = flag.Bool("metrics", false, "print the metrics registry and per-phase timeline")
+		metrics  = flag.Bool("metrics", false, "print wake-up and decision counts and the per-phase timeline")
 		energy   = flag.Bool("energy", false, "print the energy summary (tx=1, listen=0.5 per slot)")
 		tile     = flag.Int("tile", 0, "tiled slot kernel: -1 picks a tile count (~32k-node tiles), >1 fixes it, 0 untiled; first renumbers the deployment along the spatial locality pass, so printed node ids follow the relabeled order")
 		faults   = flag.String("faults", "", "inject faults, e.g. loss=0.05,burst=0.1/64,crash=3@500:900,jam=100:400,skew=0.25 (seed= defaults to -seed)")
@@ -203,10 +203,9 @@ func main() {
 		budget = par.SlotBudget()
 	}
 	// Observability: -trace streams JSONL, -trace-tail keeps a ring for
-	// the post-run dump, -metrics adds counters and the phase timeline.
+	// the post-run dump, -metrics adds the phase timeline.
 	var (
 		tracer   *obs.Tracer
-		met      *obs.Metrics
 		timeline *obs.Timeline
 		sink     *os.File
 	)
@@ -222,18 +221,15 @@ func main() {
 		tracer = obs.NewTracer(*traceN, nil)
 	}
 	if *metrics {
-		met = obs.NewMetrics()
-		met.SetPhaseGauge(obs.PhaseAsleep, int64(d.N()))
 		timeline = obs.NewTimeline(d.N(), 0)
 	}
-	collector := &obs.Collector{Metrics: met, Tracer: tracer, Timeline: timeline}
+	collector := &obs.Collector{Tracer: tracer, Timeline: timeline}
 	nodes, protos := core.Nodes(d.N(), *seed, par, core.Ablation{})
 	core.ObservePhases(nodes, collector)
 	cfg := radio.Config{
 		G: d.G, Protocols: protos, Wake: wake,
 		MaxSlots: budget, NEstimate: par.N,
 		Observer: radio.CollectorObserver(collector),
-		Metrics:  met,
 		Faults:   inj,
 		Churn:    chPlan,
 		Medium:   med,
@@ -334,8 +330,9 @@ func main() {
 		}
 	}
 	if *metrics {
-		s := met.Snapshot()
-		fmt.Printf("metrics    : %v\n", s)
+		// The channel and seam counters are on the radio, sinr, faults
+		// and churn lines above.
+		fmt.Printf("metrics    : decisions=%d wakeups=%d\n", res.Decisions, res.Wakeups)
 		fmt.Printf("timeline   :\n")
 		ph := timeline.Phases()
 		for p := obs.Phase(0); p < obs.NumPhases; p++ {

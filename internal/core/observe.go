@@ -9,12 +9,12 @@ import "radiocolor/internal/obs"
 // in observe_test.go keeps the two enums aligned.
 
 // ObservePhases installs a phase hook on every node that forwards
-// transitions into c (metrics phase gauges, trace phase events and the
-// per-phase timeline, whichever are present). Call before the run
-// starts. A nil or empty collector installs nothing, keeping the nodes
-// on the hook-free fast path.
+// transitions into c (trace phase events and the per-phase timeline,
+// whichever are present). Call before the run starts. A nil or empty
+// collector installs nothing, keeping the nodes on the hook-free fast
+// path.
 func ObservePhases(nodes []*Node, c *obs.Collector) {
-	if c == nil || (c.Metrics == nil && c.Tracer == nil && c.Timeline == nil) {
+	if c == nil || (c.Tracer == nil && c.Timeline == nil) {
 		return
 	}
 	hook := func(slot int64, node int32, from, to Phase, class int32) {

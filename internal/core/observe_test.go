@@ -48,7 +48,7 @@ func clique(n int) *graph.Graph {
 // TestObservePhases runs a real coloring on a small clique and checks
 // the phase hook delivers a trajectory consistent with the state
 // machine: every node starts waiting, every node ends colored, and the
-// collectors' terminal occupancy agrees.
+// timeline's terminal occupancy agrees.
 func TestObservePhases(t *testing.T) {
 	const n = 6
 	g := clique(n)
@@ -57,14 +57,15 @@ func TestObservePhases(t *testing.T) {
 	nodes, protos := Nodes(n, 42, par, Ablation{})
 	tl := obs.NewTimeline(n, 0)
 	tr := obs.NewTracer(0, nil, obs.KindPhase)
-	met := obs.NewMetrics()
-	ObservePhases(nodes, &obs.Collector{Metrics: met, Tracer: tr, Timeline: tl})
+	c := &obs.Collector{Tracer: tr, Timeline: tl}
+	ObservePhases(nodes, c)
 	res, err := radio.Run(radio.Config{
 		G:         g,
 		Protocols: protos,
 		Wake:      radio.WakeSynchronous(n),
 		MaxSlots:  3_000_000,
 		NEstimate: par.N,
+		Observer:  radio.CollectorObserver(c),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,22 +96,26 @@ func TestObservePhases(t *testing.T) {
 		}
 	}
 
-	// Metrics phase gauges: PhaseChange moves -1/+1 per transition, so
-	// the gauge sums to zero (the initial asleep population was never
-	// added) and colored holds all n arrivals.
-	s := met.Snapshot()
-	if s.PhaseNodes[obs.PhaseColored] != n {
-		t.Errorf("colored gauge = %d, want %d", s.PhaseNodes[obs.PhaseColored], n)
+	// Timeline occupancy at the last slot: the n nodes start asleep and
+	// each transition moves one of them, so the sample sums to n and
+	// colored holds them all.
+	buckets := tl.Buckets()
+	if len(buckets) == 0 {
+		t.Fatal("timeline sampled no slot")
+	}
+	occ := buckets[len(buckets)-1].PhaseNodes
+	if occ[obs.PhaseColored] != n {
+		t.Errorf("colored occupancy = %d, want %d", occ[obs.PhaseColored], n)
 	}
 	var total int64
-	for _, c := range s.PhaseNodes {
+	for _, c := range occ {
 		total += c
 	}
-	if total != 0 {
-		t.Errorf("phase gauge sum = %d, want 0", total)
+	if total != n {
+		t.Errorf("occupancy sum = %d, want %d", total, n)
 	}
 
-	// Timeline terminal occupancy: all nodes entered colored exactly once.
+	// All nodes entered colored exactly once.
 	ph := tl.Phases()
 	if ph[obs.PhaseColored].Entries != int64(n) {
 		t.Errorf("timeline colored entries = %d, want %d", ph[obs.PhaseColored].Entries, n)

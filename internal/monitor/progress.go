@@ -1,3 +1,6 @@
+// Package monitor reports live progress of batch executions: jobs
+// done and failed, an ETA, and a sampled work rate, as rate-limited
+// status lines on a writer (cmd/experiments writes them to stderr).
 package monitor
 
 import (
@@ -6,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"radiocolor/internal/obs"
 )
 
 // Progress is a thread-safe live tracker for batch executions (the
@@ -24,7 +25,6 @@ type Progress struct {
 	now       func() time.Time
 	unitsName string
 	unitsFunc func() int64
-	metrics   *obs.Metrics
 
 	start      time.Time
 	lastPrint  time.Time
@@ -76,16 +76,6 @@ func (p *Progress) SetUnits(name string, fn func() int64) {
 	if fn != nil {
 		p.startUnits = fn()
 	}
-}
-
-// SetMetrics installs a shared metrics registry (see internal/obs);
-// status lines gain a live collision-rate figure sampled from it.
-// Registries are safe to share across concurrent runs, so one registry
-// can aggregate a whole sweep.
-func (p *Progress) SetMetrics(m *obs.Metrics) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.metrics = m
 }
 
 // SetInterval overrides the minimum delay between status lines.
@@ -173,9 +163,6 @@ func (p *Progress) maybePrint(force bool) {
 		fmt.Fprintf(&b, " | %s %s | %s %s/s",
 			humanCount(float64(s.Units)), p.unitsName,
 			humanCount(s.UnitsPerSec), p.unitsName)
-	}
-	if p.metrics != nil {
-		fmt.Fprintf(&b, " | coll %.1f%%", 100*p.metrics.Snapshot().CollisionRate())
 	}
 	if s.ETA > 0 {
 		fmt.Fprintf(&b, " | ETA %s", s.ETA.Round(time.Second))

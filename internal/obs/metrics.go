@@ -1,30 +1,21 @@
 package obs
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// Metrics is the registry of atomic counters and gauges the simulation
-// engines increment. All methods are safe for concurrent use (the
-// parallel send phase may report from several goroutines) and cost one
-// uncontended atomic add each. A single registry may be shared across
-// runs and engines; counters are monotonic, gauges (the per-phase node
-// counts) go up and down.
-//
-// The zero value is ready to use. The engines take a *Metrics and treat
-// nil as "disabled": the hot paths pay exactly one branch per event and
-// never allocate, which is what keeps the no-observability configuration
-// within noise of the un-instrumented engine (see
-// TestDisabledObservabilityAllocatesNothing).
+// Metrics is a registry of atomic counters and gauges that a run's
+// Observer feeds (the serving layer keeps one per job and one across
+// all jobs). All methods are safe for concurrent use and cost one
+// uncontended atomic add each. Counters are monotonic; gauges (the
+// per-phase node counts) go up and down. The zero value is ready to
+// use. The simulation engines do not know this type: their own counts
+// are radio.Result's.
 type Metrics struct {
 	transmissions atomic.Int64
 	deliveries    atomic.Int64
 	collisions    atomic.Int64
-	captures      atomic.Int64
 	decisions     atomic.Int64
 	wakeups       atomic.Int64
 	slots         atomic.Int64
@@ -35,12 +26,10 @@ type Metrics struct {
 	joins         atomic.Int64
 	leaves        atomic.Int64
 	conflictsRep  atomic.Int64
-	drowned       atomic.Int64
-	belowNoise    atomic.Int64
 	phase         [NumPhases]atomic.Int64
 
 	// startNanos is the wall-clock origin for rate computation, set on
-	// the first counted slot (CAS so concurrent engines agree).
+	// the first counted slot (CAS so concurrent feeders agree).
 	startNanos atomic.Int64
 }
 
@@ -57,51 +46,10 @@ func (m *Metrics) AddDelivery() { m.deliveries.Add(1) }
 // neighbors.
 func (m *Metrics) AddCollision() { m.collisions.Add(1) }
 
-// AddCapture counts a delivery that survived a two-way collision via
-// the capture effect (also counted by AddDelivery).
-func (m *Metrics) AddCapture() { m.captures.Add(1) }
-
-// AddCollisions counts n collisions at once; the medium path reports a
-// slot's collisions in aggregate rather than per listener.
-func (m *Metrics) AddCollisions(n int64) { m.collisions.Add(n) }
-
-// AddDrowned counts n receptions a SINR medium lost to cumulative
-// interference (would have decoded alone; a subset of collisions).
-func (m *Metrics) AddDrowned(n int64) { m.drowned.Add(n) }
-
-// AddBelowNoise counts n receptions a SINR medium lost to the noise
-// floor alone (the strongest signal was audible but under the
-// threshold even without interference).
-func (m *Metrics) AddBelowNoise(n int64) { m.belowNoise.Add(n) }
-
-// AddLost counts a reception suppressed by the fault layer's link
-// loss (i.i.d. or burst).
-func (m *Metrics) AddLost() { m.lost.Add(1) }
-
-// AddJammed counts a would-be reception corrupted by a jammer.
-func (m *Metrics) AddJammed() { m.jammed.Add(1) }
-
-// AddCrash counts one fail-stop node crash.
-func (m *Metrics) AddCrash() { m.crashes.Add(1) }
-
-// AddRestart counts one crashed node rejoining with cleared state.
-func (m *Metrics) AddRestart() { m.restarts.Add(1) }
-
-// AddJoin counts one node joining the network under a churn schedule.
-func (m *Metrics) AddJoin() { m.joins.Add(1) }
-
-// AddLeave counts one node leaving the network under a churn schedule.
-func (m *Metrics) AddLeave() { m.leaves.Add(1) }
-
-// AddConflictRepaired counts one decision retracted by the churn
-// layer's self-stabilizing repair (a topology change had created a
-// monochromatic edge).
-func (m *Metrics) AddConflictRepaired() { m.conflictsRep.Add(1) }
-
 // AddFaultTotals folds a completed run's fault-seam totals into the
-// registry. The engine's per-event adders only reach the registry the
-// run was configured with; an aggregating registry (a server scraping
-// many runs) merges each finished run with one call.
+// registry. The Observer carries no fault events, so a registry fed
+// through it (a server scraping many runs) merges each finished run's
+// totals with one call.
 func (m *Metrics) AddFaultTotals(lost, jammed, crashes, restarts int64) {
 	m.lost.Add(lost)
 	m.jammed.Add(jammed)
@@ -143,34 +91,26 @@ func (m *Metrics) PhaseChange(from, to Phase) {
 	}
 }
 
-// SetPhaseGauge initializes the occupancy gauge for `p` to n (used to
-// seed PhaseAsleep with the node count before a run).
-func (m *Metrics) SetPhaseGauge(p Phase, n int64) { m.phase[p].Store(n) }
-
 // AddPhaseGauge shifts the occupancy gauge for `p` by n. Registries
 // shared across concurrent runs (the serving layer's aggregate) use it
 // to seed a run's node count in and subtract a finished run's terminal
-// occupancy back out, where the absolute Store of SetPhaseGauge would
-// clobber the other runs' contributions.
+// occupancy back out, without clobbering the other runs'
+// contributions.
 func (m *Metrics) AddPhaseGauge(p Phase, n int64) { m.phase[p].Add(n) }
 
 // Snapshot is a consistent-enough point-in-time view of a registry.
 // (Counters are read individually; a snapshot taken mid-slot may be off
 // by the events of that slot, which is irrelevant for reporting.)
 type Snapshot struct {
-	// Transmissions, Deliveries, Collisions, Captures, Decisions, Wakeups
-	// and Slots are the monotone event counters.
-	Transmissions, Deliveries, Collisions, Captures, Decisions, Wakeups, Slots int64
+	// Transmissions, Deliveries, Collisions, Decisions, Wakeups and Slots
+	// are the monotone event counters.
+	Transmissions, Deliveries, Collisions, Decisions, Wakeups, Slots int64
 	// Lost, Jammed, Crashes and Restarts count injected fault events
 	// (zero unless a run has a fault profile).
 	Lost, Jammed, Crashes, Restarts int64
 	// Joins, Leaves and ConflictsRepaired count dynamic-topology events
 	// (zero unless a run has a churn schedule).
 	Joins, Leaves, ConflictsRepaired int64
-	// Drowned and BelowNoise count SINR-medium reception losses:
-	// interference-buried and under-the-noise-floor respectively (zero
-	// unless a run uses a SINR medium).
-	Drowned, BelowNoise int64
 	// PhaseNodes is the occupancy gauge: how many nodes currently sit in
 	// each phase.
 	PhaseNodes [NumPhases]int64
@@ -185,7 +125,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Transmissions: m.transmissions.Load(),
 		Deliveries:    m.deliveries.Load(),
 		Collisions:    m.collisions.Load(),
-		Captures:      m.captures.Load(),
 		Decisions:     m.decisions.Load(),
 		Wakeups:       m.wakeups.Load(),
 		Slots:         m.slots.Load(),
@@ -197,10 +136,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		Leaves:        m.leaves.Load(),
 
 		ConflictsRepaired: m.conflictsRep.Load(),
-
-		Drowned:    m.drowned.Load(),
-		BelowNoise: m.belowNoise.Load(),
-		At:         time.Now(),
+		At:                time.Now(),
 	}
 	if ns := m.startNanos.Load(); ns != 0 {
 		s.Start = time.Unix(0, ns)
@@ -235,42 +171,16 @@ func (s Snapshot) SlotsPerSec() float64 {
 	return float64(s.Slots) / sec
 }
 
-// Sub returns the delta s − prev (counters only; gauges and timestamps
-// keep s's values). Use with two snapshots of a live registry to report
-// interval rates.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	d := s
-	d.Transmissions -= prev.Transmissions
-	d.Deliveries -= prev.Deliveries
-	d.Collisions -= prev.Collisions
-	d.Captures -= prev.Captures
-	d.Decisions -= prev.Decisions
-	d.Wakeups -= prev.Wakeups
-	d.Slots -= prev.Slots
-	d.Lost -= prev.Lost
-	d.Jammed -= prev.Jammed
-	d.Crashes -= prev.Crashes
-	d.Restarts -= prev.Restarts
-	d.Joins -= prev.Joins
-	d.Leaves -= prev.Leaves
-	d.ConflictsRepaired -= prev.ConflictsRepaired
-	d.Drowned -= prev.Drowned
-	d.BelowNoise -= prev.BelowNoise
-	d.Start = prev.At
-	return d
-}
-
 // Export calls fn once per metric in a fixed, documented order: the
-// sixteen monotone counters first (Counter true), then the per-phase
-// occupancy gauges (Counter false). It is the deterministic export hook
-// text encoders build on — the Prometheus exposition of internal/serve
-// and the Map/String renderings here all derive from it, so the
-// vocabulary cannot drift between formats.
+// thirteen monotone counters first (counter true), then the per-phase
+// occupancy gauges (counter false). It is the deterministic export hook
+// text encoders build on — the Prometheus exposition and the stream
+// samples of internal/serve both derive from it, so the vocabulary
+// cannot drift between formats.
 func (s Snapshot) Export(fn func(name string, value int64, counter bool)) {
 	fn("transmissions", s.Transmissions, true)
 	fn("deliveries", s.Deliveries, true)
 	fn("collisions", s.Collisions, true)
-	fn("captures", s.Captures, true)
 	fn("decisions", s.Decisions, true)
 	fn("wakeups", s.Wakeups, true)
 	fn("slots", s.Slots, true)
@@ -281,36 +191,7 @@ func (s Snapshot) Export(fn func(name string, value int64, counter bool)) {
 	fn("joins", s.Joins, true)
 	fn("leaves", s.Leaves, true)
 	fn("conflicts_repaired", s.ConflictsRepaired, true)
-	fn("drowned", s.Drowned, true)
-	fn("below_noise", s.BelowNoise, true)
 	for i, v := range s.PhaseNodes {
 		fn("phase_"+Phase(i).String(), v, false)
 	}
-}
-
-// Map renders the registry as name → value, the stable export format
-// (names are the JSONL/summary vocabulary).
-func (s Snapshot) Map() map[string]int64 {
-	m := make(map[string]int64, 16+NumPhases)
-	s.Export(func(name string, v int64, _ bool) { m[name] = v })
-	return m
-}
-
-// String implements fmt.Stringer with a stable one-line summary
-// (alphabetical keys).
-func (s Snapshot) String() string {
-	m := s.Map()
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", k, m[k])
-	}
-	return b.String()
 }

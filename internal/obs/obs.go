@@ -1,20 +1,22 @@
 // Package obs is the observability subsystem of the simulator: a
-// metrics registry of atomic counters and gauges (metrics.go), a
-// ring-buffered slot-event tracer with a JSONL sink (trace.go), and a
-// per-phase timeline aggregator (timeline.go).
+// ring-buffered slot-event tracer with a JSONL sink (trace.go), a
+// per-phase timeline aggregator (timeline.go), and registries of atomic
+// counters and gauges that the serving layer feeds from a run's
+// Observer (metrics.go) and from its job store (control.go).
 //
 // The package is deliberately dependency-free (stdlib only) so that
 // both internal/radio and internal/core can feed it without import
-// cycles: the engines increment a *Metrics directly and drive Tracer
-// and Timeline through the radio.Observer seam, while protocol nodes
+// cycles: the engines drive Tracer and Timeline through the
+// radio.Observer seam, their only event seam, while protocol nodes
 // report phase transitions through a hook. Everything is opt-in; when
 // no collector is configured the engines pay a single predictable
-// branch per event and allocate nothing.
+// branch per event and allocate nothing. A run's own event counts are
+// radio.Result's, not this package's.
 //
-// Collector bundles the three pieces; Summarize replays a JSONL trace
-// back into the same per-phase aggregates the Timeline computes online,
-// which is how cmd/tracestat cross-checks a recorded trace against a
-// run's reported statistics.
+// Collector bundles the tracer and the timeline; Summarize replays a
+// JSONL trace back into the same per-phase aggregates the Timeline
+// computes online, which is how cmd/tracestat cross-checks a recorded
+// trace against a run's reported statistics.
 package obs
 
 import "fmt"
@@ -65,13 +67,9 @@ func ParsePhase(s string) (Phase, error) {
 	return 0, fmt.Errorf("obs: unknown phase %q", s)
 }
 
-// Collector bundles the three observability pieces a run may enable.
-// Any field may be nil; helpers treat a nil Collector as fully
-// disabled.
+// Collector bundles the observability pieces a run may enable. Either
+// field may be nil; helpers treat a nil Collector as fully disabled.
 type Collector struct {
-	// Metrics receives atomic event counters (shared across runs if the
-	// caller reuses the registry).
-	Metrics *Metrics
 	// Tracer records slot events into a ring and, when configured, a
 	// JSONL sink.
 	Tracer *Tracer
@@ -85,9 +83,6 @@ type Collector struct {
 func (c *Collector) OnPhase(slot int64, node int32, from, to Phase, class int32) {
 	if c == nil {
 		return
-	}
-	if c.Metrics != nil {
-		c.Metrics.PhaseChange(from, to)
 	}
 	if c.Timeline != nil {
 		c.Timeline.OnPhase(slot, node, from, to)

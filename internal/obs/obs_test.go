@@ -9,18 +9,19 @@ import (
 
 func TestMetricsCountersAndRates(t *testing.T) {
 	m := NewMetrics()
-	m.SetPhaseGauge(PhaseAsleep, 3)
+	m.AddPhaseGauge(PhaseAsleep, 3)
 	for i := 0; i < 5; i++ {
 		m.AddTransmission()
 	}
 	m.AddDelivery()
 	m.AddDelivery()
 	m.AddCollision()
-	m.AddCapture()
 	m.AddDecision()
 	m.AddWakeup()
 	m.AddSlot()
 	m.PhaseChange(PhaseAsleep, PhaseWaiting)
+	m.AddFaultTotals(1, 2, 3, 4)
+	m.AddChurnTotals(5, 6, 7)
 
 	s := m.Snapshot()
 	if s.Transmissions != 5 || s.Deliveries != 2 || s.Collisions != 1 {
@@ -35,41 +36,25 @@ func TestMetricsCountersAndRates(t *testing.T) {
 	if s.Start.IsZero() {
 		t.Error("rate origin not stamped by AddSlot")
 	}
-	if !strings.Contains(s.String(), "transmissions=5") {
-		t.Errorf("String() missing counter: %s", s)
-	}
 
-	m.AddSlot()
-	m.AddDelivery()
-	d := m.Snapshot().Sub(s)
-	if d.Slots != 1 || d.Deliveries != 1 || d.Transmissions != 0 {
-		t.Errorf("delta wrong: %+v", d)
+	// Export: the thirteen counters in their documented order, then one
+	// gauge per phase.
+	var names []string
+	got := map[string]int64{}
+	s.Export(func(name string, v int64, counter bool) {
+		if counter != !strings.HasPrefix(name, "phase_") {
+			t.Errorf("%s: counter = %v", name, counter)
+		}
+		names = append(names, name)
+		got[name] = v
+	})
+	want := "transmissions deliveries collisions decisions wakeups slots lost jammed crashes restarts joins leaves conflicts_repaired " +
+		"phase_asleep phase_waiting phase_active phase_request phase_colored"
+	if strings.Join(names, " ") != want {
+		t.Errorf("export order\n got %s\nwant %s", strings.Join(names, " "), want)
 	}
-}
-
-func TestMetricsSINRCounters(t *testing.T) {
-	// The SINR medium's loss vocabulary: bulk adders, snapshot deltas,
-	// and the Export names the Prometheus exposition derives from.
-	m := NewMetrics()
-	m.AddCollisions(4)
-	m.AddDrowned(3)
-	m.AddBelowNoise(2)
-	s := m.Snapshot()
-	if s.Collisions != 4 || s.Drowned != 3 || s.BelowNoise != 2 {
-		t.Fatalf("bulk counters wrong: %+v", s)
-	}
-	m.AddDrowned(1)
-	if d := m.Snapshot().Sub(s); d.Drowned != 1 || d.BelowNoise != 0 {
-		t.Errorf("delta wrong: %+v", d)
-	}
-	mp := m.Snapshot().Map()
-	if mp["drowned"] != 4 || mp["below_noise"] != 2 {
-		t.Errorf("export vocabulary missing sinr counters: %v", mp)
-	}
-	counter := map[string]bool{}
-	m.Snapshot().Export(func(name string, _ int64, c bool) { counter[name] = c })
-	if !counter["drowned"] || !counter["below_noise"] {
-		t.Error("sinr losses must export as monotone counters")
+	if got["transmissions"] != 5 || got["jammed"] != 2 || got["restarts"] != 4 || got["conflicts_repaired"] != 7 || got["phase_waiting"] != 1 {
+		t.Errorf("exported values wrong: %v", got)
 	}
 }
 

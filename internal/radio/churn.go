@@ -6,7 +6,6 @@ import (
 	"radiocolor/internal/churn"
 	"radiocolor/internal/fault"
 	"radiocolor/internal/graph"
-	"radiocolor/internal/obs"
 )
 
 // Colored is implemented by protocols whose decision is a color. The
@@ -23,9 +22,8 @@ type Colored interface {
 // plan: the dynamic CSR the plan's deltas apply to, the batch cursor,
 // and the presence flags. It exists only when Config.Churn is set, so
 // the churn seam costs the static-topology hot path exactly one nil
-// check per phase — the same discipline as the Observer, Metrics,
-// Faults and Medium seams, pinned by the zero-alloc and differential
-// tests.
+// check per phase — the same discipline as the Observer, Faults and
+// Medium seams, pinned by the zero-alloc and differential tests.
 type churnState struct {
 	plan *churn.Plan
 	dyn  *graph.Dyn
@@ -115,7 +113,7 @@ func newChurnState(plan *churn.Plan, cfg *Config, n int) (*churnState, error) {
 // events and wake-ups. Single-threaded by construction (it runs in the
 // slot prologue, outside any worker or tile fan-out), which is what
 // makes churned runs bit-identical at any Workers or Tiles setting.
-func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
+func (e *Engine) churnBeginSlot(t int64, ob Observer) {
 	cs := e.cs
 	if cs.next >= len(cs.plan.Batches) || cs.plan.Batches[cs.next].Slot > t {
 		return
@@ -135,9 +133,6 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 			cs.absent[v] = true
 			e.off[v] = true
 			e.res.Leaves++
-			if met != nil {
-				met.AddLeave()
-			}
 			if lv.Final && !e.decided[v] {
 				cs.neverDone++
 			}
@@ -163,9 +158,6 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 			cs.absent[v] = false
 			e.off[v] = false
 			e.res.Joins++
-			if met != nil {
-				met.AddJoin()
-			}
 			if e.cfg.Wake[v] >= t {
 				continue
 			}
@@ -175,11 +167,9 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 			}
 			e.rs[v].count = 0
 			e.everWoke[v] = true
+			e.res.Wakeups++
 			if ob != nil {
 				ob.OnWake(t, NodeID(v))
-			}
-			if met != nil {
-				met.AddWakeup()
 			}
 			e.b.Start(t, v)
 			if e.decided[v] {
@@ -217,7 +207,7 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 				if e.res.DecideSlot[bnd] >= e.res.DecideSlot[a] {
 					victim = bnd
 				}
-				e.retract(t, victim, met)
+				e.retract(t, victim)
 			}
 		}
 	}
@@ -229,16 +219,13 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 // retract undoes node v's decision: protocol state clears and the node
 // re-contends from its own Start path. The node stayed awake and in
 // the activity lists throughout; its next decision is reported afresh.
-func (e *Engine) retract(t int64, v int32, met *obs.Metrics) {
+func (e *Engine) retract(t int64, v int32) {
 	e.cfg.Protocols[v].(Restartable).Reset()
 	e.b.Start(t, v)
 	e.decided[v] = false
 	e.numDone--
 	e.res.DecideSlot[v] = -1
 	e.res.ConflictsRepaired++
-	if met != nil {
-		met.AddConflictRepaired()
-	}
 }
 
 // leftList appends the currently absent nodes to dst in ascending

@@ -27,19 +27,19 @@ func (e *UnsupportedError) Is(target error) bool { return target == ErrUnsupport
 // The out-of-model seams a run can turn on, each named by the Config
 // field that turns it on.
 const (
-	seamFaults    = "Faults"
-	seamSkew      = "clock-skew Faults" // a skew fault profile, or RunUnaligned's offsets
-	seamMedium    = "Medium"
-	seamChurn     = "Churn"
-	seamReference = "the reference engine"
+	seamFaults = "Faults"
+	seamSkew   = "clock-skew Faults" // a skew fault profile, or RunUnaligned's offsets
+	seamMedium = "Medium"
+	seamChurn  = "Churn"
 )
 
 // unsupported is the composition table: every pair of seams the engine
 // rejects, with its reason. Every other pair composes, pinned by the
 // composition matrix test against its Workers 1 / Tiles 0 run.
-// NewEngine, NewReferenceEngine and, through CheckSeams,
-// radiocolor.Options.Validate all ask this table and keep no rules of
-// their own.
+// NewEngine and, through CheckSeams, radiocolor.Options.Validate and
+// colorsim ask this table and keep no rules of their own. (The
+// reference engine, a test-only oracle, states its own three
+// rejections in reference_test.go.)
 //
 // Two rows change speed only and are therefore not rejected:
 //   - an Observer makes the sweeps run on one goroutine, and with
@@ -52,9 +52,6 @@ var unsupported = []struct{ a, b, reason string }{
 	{seamMedium, seamSkew, "the half-slot rule owns reception"},
 	{seamChurn, seamSkew, "the half-slot rule reads a static neighbor view"},
 	{seamChurn, seamMedium, "media bind to a static graph"},
-	{seamReference, seamFaults, "it specifies the fault-free model"},
-	{seamReference, seamMedium, "it specifies the paper's reception rule"},
-	{seamReference, seamChurn, "it specifies the static-graph model"},
 }
 
 // CheckSeams asks the composition table whether one run may turn on
@@ -62,15 +59,8 @@ var unsupported = []struct{ a, b, reason string }{
 // faults), a pluggable medium and churn. It returns an
 // *UnsupportedError for the first rejected pair, or nil.
 func CheckSeams(faults, skew, medium, churn bool) error {
-	return checkSeams(faults, skew, medium, churn, false)
-}
-
-// checkSeams is CheckSeams for either engine; reference marks a run of
-// the reference engine.
-func checkSeams(faults, skew, medium, churn, reference bool) error {
 	on := map[string]bool{
-		seamFaults: faults || skew, seamSkew: skew, seamMedium: medium,
-		seamChurn: churn, seamReference: reference,
+		seamFaults: faults || skew, seamSkew: skew, seamMedium: medium, seamChurn: churn,
 	}
 	for _, r := range unsupported {
 		if on[r.a] && on[r.b] {

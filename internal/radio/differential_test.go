@@ -15,7 +15,7 @@ import (
 )
 
 // These tests pin the CSR kernel bit-for-bit to the retained seed slot
-// loop (reference.go): over randomized graphs × wakeup schedules ×
+// loop (reference_test.go): over randomized graphs × wakeup schedules ×
 // seeds, every engine variant — reference and CSR, Workers ∈ {1, 4} —
 // must produce an identical Result (colors, slots, message counts). Any
 // divergence means the rewritten kernel silently changed the model.

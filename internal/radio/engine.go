@@ -11,7 +11,6 @@ import (
 	"radiocolor/internal/fault"
 	"radiocolor/internal/graph"
 	"radiocolor/internal/medium"
-	"radiocolor/internal/obs"
 )
 
 // Config describes one simulation run.
@@ -36,12 +35,6 @@ type Config struct {
 	// Observer runs the tiles sequentially, and with Tiles ≤ 1 as one
 	// tile, so that traced event streams stay fully ordered.
 	Observer Observer
-	// Metrics, when non-nil, receives atomic event counters (see
-	// internal/obs). Like Observer, nil costs one branch per event.
-	// Metrics is independent of Observer so a shared registry can
-	// aggregate across concurrent runs without any fan-out indirection.
-	// Being atomic, Metrics does not force sequential tiles.
-	Metrics *obs.Metrics
 	// NEstimate is the network-size estimate used for message-size
 	// accounting (default G.N()).
 	NEstimate int
@@ -120,7 +113,7 @@ type Config struct {
 // Batch call per list, which reports decisions itself, and a
 // transmitter's whole neighborhood is one contiguous read. The original
 // slice-chasing slot loop is retained verbatim as the reference engine
-// (reference.go); differential tests pin this loop to it bit-for-bit.
+// (reference_test.go); differential tests pin this loop to it bit-for-bit.
 type Engine struct {
 	cfg     Config
 	n       int
@@ -400,10 +393,9 @@ func newResult(wake []int64) Result {
 func (e *Engine) Step() bool {
 	t := e.slot
 	ob := e.cfg.Observer
-	met := e.cfg.Metrics
 	ts := e.ts
 
-	e.wakePhase(t, ob, met)
+	e.wakePhase(t, ob)
 	// A traced run keeps OnTransmit in ascending order, and a slot-wide
 	// pass (a medium or the half-slot rule) takes the transmitters in
 	// ascending order, which keeps float accumulation (SINR) the same at
@@ -419,23 +411,18 @@ func (e *Engine) Step() bool {
 		e.dec = append(e.dec, tl.dec...)
 	}
 	// Counter-side transmission bookkeeping (PerNodeTx, message-size
-	// max) happened in sweep 1 on tile-owned state; only the per-event
-	// seams need this sequential pass.
-	if ob != nil || met != nil {
+	// max) happened in sweep 1 on tile-owned state; only the Observer
+	// needs this sequential pass.
+	if ob != nil {
 		for _, v := range e.tx {
-			if ob != nil {
-				ob.OnTransmit(t, NodeID(v), e.out[v])
-			}
-			if met != nil {
-				met.AddTransmission()
-			}
+			ob.OnTransmit(t, NodeID(v), e.out[v])
 		}
 	}
 	switch {
 	case e.med != nil:
-		e.mediumResolveDeliver(t, ob, met)
+		e.mediumResolveDeliver(t, ob)
 	case e.hs != nil:
-		e.halfSlotResolveDeliver(t, ob, met)
+		e.halfSlotResolveDeliver(t, ob)
 	default:
 		e.sweep(t, (*Engine).tileDeliver)
 	}
@@ -453,7 +440,7 @@ func (e *Engine) Step() bool {
 	// Decisions a batch leaves to Settle (the per-node adapter's) join
 	// the ones its Send calls reported.
 	e.dec = e.b.Settle(t, e.off, e.dec)
-	e.decide(t, ob, met)
+	e.decide(t, ob)
 
 	// Transmitter cleanup. Runs after every deliver because a remote
 	// tile's deliver reads e.out[from] across the tile boundary.
@@ -463,14 +450,14 @@ func (e *Engine) Step() bool {
 	}
 	e.tx = e.tx[:0]
 
-	return e.finishSlot(t, ob, met)
+	return e.finishSlot(t, ob)
 }
 
 // decide records the decisions the Batch reported in slot t (e.dec)
 // and empties the list. On a traced run OnDecide fires in ascending
 // node order, as in the reference engine, so the list is sorted then
 // if the Send and Settle reports interleave.
-func (e *Engine) decide(t int64, ob Observer, met *obs.Metrics) {
+func (e *Engine) decide(t int64, ob Observer) {
 	dec := e.dec
 	if ob != nil && !ascending32(dec) {
 		slices.Sort(dec)
@@ -482,24 +469,22 @@ func (e *Engine) decide(t int64, ob Observer, met *obs.Metrics) {
 		if ob != nil {
 			ob.OnDecide(t, NodeID(v))
 		}
-		if met != nil {
-			met.AddDecision()
-		}
 	}
+	e.res.Decisions += int64(len(dec))
 	e.dec = dec[:0]
 }
 
 // wakePhase applies the slot's churn batches, fault events and
 // wake-ups: the head of the slot loop.
-func (e *Engine) wakePhase(t int64, ob Observer, met *obs.Metrics) {
+func (e *Engine) wakePhase(t int64, ob Observer) {
 	// Topology batches (joins/leaves/edge deltas) and fault events
 	// (crash/restart) take effect at the start of the slot, before any
 	// protocol runs.
 	if e.cs != nil {
-		e.churnBeginSlot(t, ob, met)
+		e.churnBeginSlot(t, ob)
 	}
 	if e.fs != nil {
-		e.faultBeginSlot(t, ob, met)
+		e.faultBeginSlot(t, ob)
 	}
 
 	// Wake-ups scheduled for this slot. The block e.order[prevNext:next]
@@ -524,13 +509,11 @@ func (e *Engine) wakePhase(t int64, ob Observer, met *obs.Metrics) {
 		if ob != nil {
 			ob.OnWake(t, NodeID(id))
 		}
-		if met != nil {
-			met.AddWakeup()
-		}
 		e.b.Start(t, id)
 		e.order[w] = id
 		w++
 	}
+	e.res.Wakeups += int64(w - prevNext)
 	if w > prevNext {
 		// Newly woken ids go to a small pending list first; merging the
 		// whole awake list every slot of a long wake ramp would cost
@@ -570,14 +553,11 @@ func (e *Engine) mergePending(force bool) {
 	}
 }
 
-// finishSlot is the slot epilogue: end-of-slot seams, counters, and
+// finishSlot is the slot epilogue: the end-of-slot event, counters, and
 // the termination check.
-func (e *Engine) finishSlot(t int64, ob Observer, met *obs.Metrics) bool {
+func (e *Engine) finishSlot(t int64, ob Observer) bool {
 	if ob != nil {
 		ob.OnSlot(t)
-	}
-	if met != nil {
-		met.AddSlot()
 	}
 	e.slot++
 	simulatedSlots.Add(1)

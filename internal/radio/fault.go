@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"radiocolor/internal/fault"
-	"radiocolor/internal/obs"
 )
 
 // Restartable is implemented by protocols whose state can be cleared
@@ -63,7 +62,7 @@ func newFaultState(inj *fault.Injector, cfg *Config, n int) (*faultState, error)
 // the node rejoins with cleared protocol state as a fresh wake-up; if
 // it had already decided, the decision is retracted (the color died
 // with the state).
-func (e *Engine) faultBeginSlot(t int64, ob Observer, met *obs.Metrics) {
+func (e *Engine) faultBeginSlot(t int64, ob Observer) {
 	fs := e.fs
 	if fs.next >= len(fs.events) || fs.events[fs.next].Slot > t {
 		return
@@ -79,9 +78,6 @@ func (e *Engine) faultBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 			}
 			e.off[v] = true
 			e.res.Crashes++
-			if met != nil {
-				met.AddCrash()
-			}
 			if ev.Final && !e.decided[v] {
 				fs.neverDone++
 			}
@@ -94,9 +90,6 @@ func (e *Engine) faultBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 		}
 		e.off[v] = false
 		e.res.Restarts++
-		if met != nil {
-			met.AddRestart()
-		}
 		if e.cfg.Wake[v] >= t {
 			// The node crashed before its wake slot; the normal wake
 			// loop will start it on schedule.
@@ -108,11 +101,9 @@ func (e *Engine) faultBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 		}
 		e.rs[v].count = 0
 		e.everWoke[v] = true
+		e.res.Wakeups++
 		if ob != nil {
 			ob.OnWake(t, NodeID(v))
-		}
-		if met != nil {
-			met.AddWakeup()
 		}
 		e.b.Start(t, v)
 		if e.decided[v] {
@@ -153,19 +144,13 @@ func (fs *faultState) suppression(t int64, from, to int32) int {
 // faultSuppressed applies the suppression check to one reception,
 // counting the outcome into the given tallies (the slot-wide passes
 // hand in Result fields, the tile sweeps their tile's tally).
-func (e *Engine) faultSuppressed(t int64, from, to int32, jammed, lost *int64, met *obs.Metrics) bool {
+func (e *Engine) faultSuppressed(t int64, from, to int32, jammed, lost *int64) bool {
 	switch e.fs.suppression(t, from, to) {
 	case suppressJam:
 		*jammed++
-		if met != nil {
-			met.AddJammed()
-		}
 		return true
 	case suppressLoss:
 		*lost++
-		if met != nil {
-			met.AddLost()
-		}
 		return true
 	}
 	return false

@@ -1,9 +1,5 @@
 package radio
 
-import (
-	"radiocolor/internal/obs"
-)
-
 // mediumResolveDeliver is the resolve+deliver phase of the pluggable
 // medium path (Config.Medium non-nil): the medium computes this slot's
 // receptions from the transmitter list and the standing listener
@@ -18,35 +14,24 @@ import (
 // per-slot stats — the medium path does not emit per-listener
 // OnCollision events (media may not even have a per-listener collision
 // notion; SINR's interference is cumulative).
-func (e *Engine) mediumResolveDeliver(t int64, ob Observer, met *obs.Metrics) {
+func (e *Engine) mediumResolveDeliver(t int64, ob Observer) {
 	recs, st := e.med.Resolve(t, e.tx, e.listenFn, e.recs[:0])
 	e.recs = recs // keep the grown buffer for the next slot
 	e.res.Collisions += st.Collisions
 	e.res.Drowned += st.Drowned
 	e.res.BelowNoise += st.BelowNoise
-	if met != nil {
-		met.AddCollisions(st.Collisions)
-		met.AddDrowned(st.Drowned)
-		met.AddBelowNoise(st.BelowNoise)
-	}
 	for i := range recs {
 		r := &recs[i]
-		if e.fs != nil && e.faultSuppressed(t, r.From, r.To, &e.res.Jammed, &e.res.Lost, met) {
+		if e.fs != nil && e.faultSuppressed(t, r.From, r.To, &e.res.Jammed, &e.res.Lost) {
 			continue
 		}
 		e.res.Deliveries++
 		if r.Captured {
 			e.res.Captures++
-			if met != nil {
-				met.AddCapture()
-			}
 		}
 		msg := e.out[r.From]
 		if ob != nil {
 			ob.OnDeliver(t, NodeID(r.To), msg)
-		}
-		if met != nil {
-			met.AddDelivery()
 		}
 		e.b.Recv(t, r.To, msg)
 	}

@@ -2,17 +2,13 @@ package radio
 
 import "radiocolor/internal/obs"
 
-// This file is the bridge between the engines' Observer seam and the
-// observability subsystem (internal/obs). The old in-package ring
-// tracer (trace.go) was superseded by obs.Tracer, which adds the JSONL
-// sink and the per-phase attribution cmd/tracestat replays.
+// This file is the bridge between the engines' Observer seam, their only
+// event seam, and the observability subsystem (internal/obs); it is the
+// only file of the package that imports obs. The run's own counters are
+// Result's.
 
 // collectorObserver feeds a Collector's Tracer and Timeline from the
-// Observer seam. The Collector's Metrics registry is deliberately NOT
-// fed here: the engines increment Config.Metrics directly (atomic adds
-// with no interface indirection), so a caller enabling everything sets
-// both Config.Metrics = c.Metrics and Config.Observer =
-// CollectorObserver(c).
+// Observer seam.
 type collectorObserver struct {
 	tr *obs.Tracer
 	tl *obs.Timeline

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"radiocolor/internal/fault"
 	"radiocolor/internal/obs"
 )
 
@@ -70,8 +71,8 @@ func TestCollectorObserverNil(t *testing.T) {
 	if CollectorObserver(nil) != nil {
 		t.Error("nil collector must map to nil observer")
 	}
-	if CollectorObserver(&obs.Collector{Metrics: obs.NewMetrics()}) != nil {
-		t.Error("metrics-only collector must map to nil observer (metrics flow via Config.Metrics)")
+	if CollectorObserver(&obs.Collector{}) != nil {
+		t.Error("empty collector must map to nil observer")
 	}
 	if CollectorObserver(&obs.Collector{Tracer: obs.NewTracer(0, nil)}) == nil {
 		t.Error("tracer-bearing collector must yield an observer")
@@ -139,33 +140,35 @@ func TestObserversDegenerate(t *testing.T) {
 	}
 }
 
-// TestMetricsMatchResult checks that Config.Metrics counters agree with
-// the engine's own Result accounting on a real protocol run.
+// TestMetricsMatchResult checks Result's lifecycle counters against the
+// Observer's events: Wakeups counts scheduled wake-ups and fault
+// restarts, Decisions every decision the engine records, a re-decision
+// after a restart included.
 func TestMetricsMatchResult(t *testing.T) {
-	g := line(5)
-	_, cfg := buildScripted(g, [][]bool{{true}, nil, {true, true}, nil, {true}}, WakeUniform(5, 7, 11))
-	met := obs.NewMetrics()
-	cfg.Metrics = met
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	check := func(name string, cfg Config, want int64) {
+		t.Helper()
+		ob := &countingObserver{}
+		cfg.Observer = ob
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Wakeups != want || res.Decisions != want {
+			t.Errorf("%s: wakeups=%d decisions=%d, want %d and %d", name, res.Wakeups, res.Decisions, want, want)
+		}
+		if int64(ob.wake) != res.Wakeups || int64(ob.decide) != res.Decisions {
+			t.Errorf("%s: observer saw %d wake-ups and %d decisions, result %d and %d",
+				name, ob.wake, ob.decide, res.Wakeups, res.Decisions)
+		}
 	}
-	s := met.Snapshot()
-	if s.Transmissions != res.Transmissions {
-		t.Errorf("tx: metrics %d, result %d", s.Transmissions, res.Transmissions)
-	}
-	if s.Deliveries != res.Deliveries {
-		t.Errorf("rx: metrics %d, result %d", s.Deliveries, res.Deliveries)
-	}
-	if s.Collisions != res.Collisions {
-		t.Errorf("coll: metrics %d, result %d", s.Collisions, res.Collisions)
-	}
-	if s.Slots != res.Slots {
-		t.Errorf("slots: metrics %d, result %d", s.Slots, res.Slots)
-	}
-	if s.Wakeups != 5 || s.Decisions != 5 {
-		t.Errorf("wakeups=%d decisions=%d, want 5 and 5", s.Wakeups, s.Decisions)
-	}
+	_, cfg := buildScripted(line(5), [][]bool{{true}, nil, {true, true}, nil, {true}}, WakeUniform(5, 7, 11))
+	check("plain", cfg, 5)
+
+	// Node 0 decides at slot 2, crashes at 3 and restarts at 5: one
+	// more wake-up and one more decision than nodes.
+	_, cfg = buildScripted(line(2), [][]bool{{true, true}, make([]bool, 20)}, WakeSynchronous(2))
+	cfg.Faults = mustInjector(t, &fault.Profile{Crashes: []fault.Crash{{Node: 0, At: 3, Restart: 5}}}, 2)
+	check("restart", cfg, 3)
 }
 
 // idleProto never transmits and never finishes: every Step exercises
@@ -178,7 +181,7 @@ func (idleProto) Send(int64) Message  { return nil }
 func (idleProto) Recv(int64, Message) {}
 func (idleProto) Done() bool          { return false }
 
-func newIdleEngine(tb testing.TB, n int, met *obs.Metrics) *Engine {
+func newIdleEngine(tb testing.TB, n int) *Engine {
 	tb.Helper()
 	protos := make([]Protocol, n)
 	for i := range protos {
@@ -189,7 +192,6 @@ func newIdleEngine(tb testing.TB, n int, met *obs.Metrics) *Engine {
 		Protocols: protos,
 		Wake:      WakeSynchronous(n),
 		MaxSlots:  1 << 40,
-		Metrics:   met,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -198,21 +200,11 @@ func newIdleEngine(tb testing.TB, n int, met *obs.Metrics) *Engine {
 }
 
 // TestDisabledSeamZeroAlloc pins the zero-overhead contract: with no
-// Observer and no Metrics the engine allocates nothing per slot.
+// Observer the engine allocates nothing per slot.
 func TestDisabledSeamZeroAlloc(t *testing.T) {
-	e := newIdleEngine(t, 32, nil)
+	e := newIdleEngine(t, 32)
 	e.Step() // absorb wake-up work
 	if allocs := testing.AllocsPerRun(500, func() { e.Step() }); allocs != 0 {
 		t.Errorf("disabled observability seam allocates %v per slot, want 0", allocs)
-	}
-}
-
-// TestMetricsZeroAlloc pins that the atomic counter registry adds no
-// allocations either — metrics are safe to leave on in hot sweeps.
-func TestMetricsZeroAlloc(t *testing.T) {
-	e := newIdleEngine(t, 32, obs.NewMetrics())
-	e.Step()
-	if allocs := testing.AllocsPerRun(500, func() { e.Step() }); allocs != 0 {
-		t.Errorf("metrics registry allocates %v per slot, want 0", allocs)
 	}
 }

@@ -29,8 +29,8 @@ import (
 var simulatedSlots atomic.Int64
 
 // SimulatedSlots returns the process-wide number of simulated slots.
-// The counter is monotonic and shared by both slot loops (the engine's
-// and the reference); rate reporting samples it over time.
+// The counter is monotonic and shared by the engine's slot loop and the
+// test-only reference loop; rate reporting samples it over time.
 func SimulatedSlots() int64 { return simulatedSlots.Load() }
 
 // NodeID identifies a node. IDs are indices into the network graph, but
@@ -161,6 +161,11 @@ type Result struct {
 	// Collisions counts (listener, slot) pairs with ≥ 2 transmitting
 	// neighbors.
 	Transmissions, Deliveries, Collisions int64
+	// Wakeups counts protocol starts: scheduled wake-ups, fault
+	// restarts and churn joins. Decisions counts decisions as the
+	// engine records them, a re-decision after a retraction included.
+	// Both equal the node count on a complete static run.
+	Wakeups, Decisions int64
 	// Captures counts deliveries that survived concurrent transmissions
 	// via the capture effect, which only a pluggable medium models (the
 	// built-in rule has no capture): the graph medium's two-way capture

@@ -347,10 +347,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 // countingObserver checks the Observer event stream.
 type countingObserver struct {
 	NopObserver
-	slots, tx, rx, coll, decide int
+	slots, wake, tx, rx, coll, decide int
 }
 
 func (o *countingObserver) OnSlot(int64)                      { o.slots++ }
+func (o *countingObserver) OnWake(int64, NodeID)              { o.wake++ }
 func (o *countingObserver) OnTransmit(int64, NodeID, Message) { o.tx++ }
 func (o *countingObserver) OnDeliver(int64, NodeID, Message)  { o.rx++ }
 func (o *countingObserver) OnCollision(int64, NodeID, int)    { o.coll++ }

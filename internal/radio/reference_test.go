@@ -10,7 +10,9 @@ import "sync"
 // deliberately NOT optimized: its only jobs are (a) anchoring the
 // differential tests that pin the CSR kernel bit-for-bit to the seed
 // semantics and (b) serving as the baseline in the kernel throughput
-// benchmarks (bench_kernel_test.go, BENCH_kernel.json).
+// benchmarks (bench_kernel_test.go, BENCH_kernel.json). Being a test
+// file, it is compiled into the package's tests only; the external
+// radio_test package reaches it as radio.RunReference.
 
 // ReferenceEngine executes a Config with the original slice-based slot
 // loop. Its Result is bit-identical to Engine's on every input.
@@ -33,15 +35,26 @@ type ReferenceEngine struct {
 }
 
 // NewReferenceEngine validates the configuration and prepares a
-// reference run. It accepts what NewEngine accepts, less the seams the
-// composition table keeps off the reference engine (Faults, Medium and
-// Churn): runs with those are pinned against the CSR kernel instead.
+// reference run. It accepts what NewEngine accepts, less the Faults,
+// Medium and Churn seams, each an *UnsupportedError: the reference
+// engine specifies the static, fault-free model on the paper's
+// reception rule, so runs with those seams are pinned against the CSR
+// kernel instead.
 func NewReferenceEngine(cfg Config) (*ReferenceEngine, error) {
 	if err := validateConfig(&cfg); err != nil {
 		return nil, err
 	}
-	if err := checkSeams(cfg.Faults != nil, false, cfg.Medium != nil, cfg.Churn != nil, true); err != nil {
-		return nil, err
+	for _, r := range []struct {
+		on           bool
+		seam, reason string
+	}{
+		{cfg.Faults != nil, seamFaults, "it specifies the fault-free model"},
+		{cfg.Medium != nil, seamMedium, "it specifies the paper's reception rule"},
+		{cfg.Churn != nil, seamChurn, "it specifies the static-graph model"},
+	} {
+		if r.on {
+			return nil, &UnsupportedError{a: "the reference engine", b: r.seam, reason: r.reason}
+		}
 	}
 	n := cfg.G.N()
 	e := &ReferenceEngine{
@@ -63,16 +76,13 @@ func NewReferenceEngine(cfg Config) (*ReferenceEngine, error) {
 func (e *ReferenceEngine) Step() bool {
 	t := e.slot
 	ob := e.cfg.Observer
-	met := e.cfg.Metrics
 	// Wake-ups scheduled for this slot.
 	for e.next < e.n && e.cfg.Wake[e.order[e.next]] == t {
 		id := e.order[e.next]
 		e.awake[id] = true
+		e.res.Wakeups++
 		if ob != nil {
 			ob.OnWake(t, NodeID(id))
-		}
-		if met != nil {
-			met.AddWakeup()
 		}
 		e.cfg.Protocols[id].Start(t)
 		e.next++
@@ -103,9 +113,6 @@ func (e *ReferenceEngine) Step() bool {
 		if ob != nil {
 			ob.OnTransmit(t, NodeID(i), msg)
 		}
-		if met != nil {
-			met.AddTransmission()
-		}
 		for _, u := range e.cfg.G.Adj(i) {
 			if e.recvCount[u] == 0 {
 				e.touched = append(e.touched, u)
@@ -129,17 +136,11 @@ func (e *ReferenceEngine) Step() bool {
 			if ob != nil {
 				ob.OnCollision(t, NodeID(u), int(count))
 			}
-			if met != nil {
-				met.AddCollision()
-			}
 			continue
 		}
 		e.res.Deliveries++
 		if ob != nil {
 			ob.OnDeliver(t, NodeID(u), msg)
-		}
-		if met != nil {
-			met.AddDelivery()
 		}
 		e.cfg.Protocols[u].Recv(t, msg)
 	}
@@ -154,19 +155,14 @@ func (e *ReferenceEngine) Step() bool {
 			e.decided[i] = true
 			e.numDone++
 			e.res.DecideSlot[i] = t
+			e.res.Decisions++
 			if ob != nil {
 				ob.OnDecide(t, NodeID(i))
-			}
-			if met != nil {
-				met.AddDecision()
 			}
 		}
 	}
 	if ob != nil {
 		ob.OnSlot(t)
-	}
-	if met != nil {
-		met.AddSlot()
 	}
 	e.slot++
 	simulatedSlots.Add(1)

@@ -3,8 +3,6 @@ package radio
 import (
 	"sync"
 	"sync/atomic"
-
-	"radiocolor/internal/obs"
 )
 
 // The tile-major slot loop. Streaming four global phases over all n
@@ -321,7 +319,7 @@ func (e *Engine) tileSendResolve(k int, t int64) {
 		w := 0
 		for _, u := range touched {
 			if interior[u] {
-				e.deliverOne(t, u, &tl.deliverTally, nil, e.cfg.Metrics)
+				e.deliverOne(t, u, &tl.deliverTally, nil)
 			} else {
 				touched[w] = u
 				w++
@@ -368,7 +366,7 @@ func (e *Engine) tileDeliver(k int, t int64) {
 	// bucket-fold touches.
 	ob := e.cfg.Observer // non-nil only on the sequential path
 	for _, u := range touched {
-		e.deliverOne(t, u, &tl.deliverTally, ob, e.cfg.Metrics)
+		e.deliverOne(t, u, &tl.deliverTally, ob)
 	}
 	tl.touched = touched[:0]
 }
@@ -380,7 +378,7 @@ func (e *Engine) tileDeliver(k int, t int64) {
 // It is the built-in rule's only statement, shared by both sweeps; ob
 // is nil on the parallel and fused-interior callers (both run
 // untraced).
-func (e *Engine) deliverOne(t int64, u int32, tl *deliverTally, ob Observer, met *obs.Metrics) {
+func (e *Engine) deliverOne(t int64, u int32, tl *deliverTally, ob Observer) {
 	r := &e.rs[u]
 	count, from := r.count, r.from
 	r.count = 0
@@ -389,21 +387,15 @@ func (e *Engine) deliverOne(t int64, u int32, tl *deliverTally, ob Observer, met
 		if ob != nil {
 			ob.OnCollision(t, NodeID(u), int(count))
 		}
-		if met != nil {
-			met.AddCollision()
-		}
 		return
 	}
-	if e.fs != nil && e.faultSuppressed(t, from, u, &tl.jammed, &tl.lost, met) {
+	if e.fs != nil && e.faultSuppressed(t, from, u, &tl.jammed, &tl.lost) {
 		return
 	}
 	tl.deliveries++
 	msg := e.out[from]
 	if ob != nil {
 		ob.OnDeliver(t, NodeID(u), msg)
-	}
-	if met != nil {
-		met.AddDelivery()
 	}
 	e.b.Recv(t, u, msg)
 }

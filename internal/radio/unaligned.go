@@ -3,8 +3,6 @@ package radio
 import (
 	"context"
 	"fmt"
-
-	"radiocolor/internal/obs"
 )
 
 // Non-aligned slot boundaries. Sect. 2 of the paper: "all analytical
@@ -109,7 +107,7 @@ func (e *Engine) book(tx txRec, sign int16) {
 // rings, then resolves the previous slot's, whose half-slots are now
 // final. The messages stay valid for it through slot t+1, as the
 // Protocol.Send contract promises.
-func (e *Engine) halfSlotResolveDeliver(t int64, ob Observer, met *obs.Metrics) {
+func (e *Engine) halfSlotResolveDeliver(t int64, ob Observer) {
 	hs := e.hs
 	// This slot's transmissions touch half-slots 2t .. 2t+2. The ring
 	// holds nothing stale there: what earlier slots booked at the same
@@ -149,21 +147,15 @@ func (e *Engine) halfSlotResolveDeliver(t int64, ob Observer, met *obs.Metrics) 
 					if ob != nil {
 						ob.OnCollision(t, NodeID(w), int(overlap))
 					}
-					if met != nil {
-						met.AddCollision()
-					}
 				}
 				continue
 			}
-			if e.fs != nil && e.faultSuppressed(t, int32(v), w, &e.res.Jammed, &e.res.Lost, met) {
+			if e.fs != nil && e.faultSuppressed(t, int32(v), w, &e.res.Jammed, &e.res.Lost) {
 				continue
 			}
 			e.res.Deliveries++
 			if ob != nil {
 				ob.OnDeliver(t, NodeID(w), tx.msg)
-			}
-			if met != nil {
-				met.AddDelivery()
 			}
 			e.b.Recv(t, w, tx.msg)
 		}

@@ -702,10 +702,10 @@ func (s *Server) runJob(ctx context.Context, j *job) (*radiocolor.Outcome, error
 	} else {
 		out, err = radiocolor.ColorGraphContext(ctx, j.adj, opt)
 	}
-	// The fault and churn seams count events on the run's own registry,
-	// not through the Observer hooks the feed above sees — fold their
-	// totals from the outcome so the streamed and scraped registries
-	// carry them too.
+	// The fault and churn seams count events in the run's Result, not
+	// through the Observer hooks the feed above sees — fold their totals
+	// from the outcome so the streamed and scraped registries carry them
+	// too.
 	if out != nil {
 		if f := out.Faults; f != nil {
 			j.metrics.AddFaultTotals(f.Lost, f.Jammed, f.Crashes, f.Restarts)

@@ -658,6 +658,76 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 	}
 }
 
+// scrapeCounters reads the /metrics exposition into name → value for
+// its unlabeled series.
+func scrapeCounters(t *testing.T, ts *httptest.Server) map[string]int64 {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got := map[string]int64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var name string
+		var v int64
+		if _, err := fmt.Sscanf(sc.Text(), "%s %d", &name, &v); err == nil && !strings.HasPrefix(name, "#") {
+			got[name] = v
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestMetricsMatchOutcomeStats: colord's simulation counters are fed
+// through the job's Observer, so on a fresh server one built-in-rule
+// job's scrape must equal the run's own counts in Outcome.Stats. The
+// registry exports no counter that nothing feeds: after a medium job
+// the SINR and capture series are absent, not constant zeros.
+func TestMetricsMatchOutcomeStats(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	_, st := submit(t, ts, JobRequest{Topology: &TopologySpec{Kind: "udg", N: 40}, Seed: 3, Metrics: true})
+	fin := waitTerminal(t, ts, st.ID)
+	if fin.State != StateDone || fin.Outcome == nil || fin.Outcome.Stats == nil {
+		t.Fatalf("job: state %s, outcome %+v (err %q)", fin.State, fin.Outcome, fin.Error)
+	}
+	s := fin.Outcome.Stats
+	got := scrapeCounters(t, ts)
+	for name, want := range map[string]int64{
+		"transmissions": s.Transmissions,
+		"deliveries":    s.Deliveries,
+		"collisions":    s.Collisions,
+		"wakeups":       s.Wakeups,
+		"decisions":     s.Decisions,
+		"slots":         s.Slots,
+	} {
+		series := "radiocolor_" + name + "_total"
+		if v, ok := got[series]; !ok || v != want {
+			t.Errorf("%s = %d (present %v), want the run's %d", series, v, ok, want)
+		}
+	}
+	if s.Transmissions == 0 || s.Collisions == 0 || s.Wakeups != 40 || s.Decisions != 40 {
+		t.Errorf("vacuous run: %+v", s)
+	}
+
+	_, st = submit(t, ts, JobRequest{Adjacency: ringAdjacency(12), Seed: 4, Medium: "multichannel,k=2"})
+	if fin := waitTerminal(t, ts, st.ID); fin.State != StateDone {
+		t.Fatalf("medium job: state %s (err %q)", fin.State, fin.Error)
+	}
+	got = scrapeCounters(t, ts)
+	for _, series := range []string{"radiocolor_captures_total", "radiocolor_drowned_total", "radiocolor_below_noise_total"} {
+		if v, ok := got[series]; ok {
+			t.Errorf("%s exported (= %d), but nothing feeds it", series, v)
+		}
+	}
+	if got["radiocolor_wakeups_total"] != 52 {
+		t.Errorf("radiocolor_wakeups_total = %d after both jobs, want 52", got["radiocolor_wakeups_total"])
+	}
+}
+
 func TestListJobs(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	_, a := submit(t, ts, JobRequest{Adjacency: ringAdjacency(4), Seed: 1})

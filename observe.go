@@ -108,9 +108,10 @@ type Stats struct {
 	// CollisionRate is collisions / (deliveries + collisions): the
 	// fraction of channel resolutions lost to contention.
 	CollisionRate float64
-	// SlotsPerSec is the simulation throughput.
+	// SlotsPerSec is the simulation throughput: Slots over Wall.
 	SlotsPerSec float64
-	// Wall is the wall-clock duration of the simulation.
+	// Wall is the wall-clock duration of the simulation: the engine's
+	// set-up and slot loop, without the κ pass or verification.
 	Wall time.Duration
 	// Phases aggregates per protocol phase (asleep, waiting, active,
 	// request, colored): how long nodes sat in each phase and which
@@ -150,22 +151,24 @@ type BucketStats struct {
 	PhaseNodes map[string]int64
 }
 
-// buildStats assembles the public snapshot from the collectors.
-func buildStats(met *obs.Metrics, tl *obs.Timeline) *Stats {
-	snap := met.Snapshot()
+// buildStats assembles the public snapshot from the run's Result, its
+// Timeline and the wall time of the slot loop.
+func buildStats(res *radio.Result, tl *obs.Timeline, wall time.Duration) *Stats {
 	s := &Stats{
-		Transmissions: snap.Transmissions,
-		Deliveries:    snap.Deliveries,
-		Collisions:    snap.Collisions,
-		Wakeups:       snap.Wakeups,
-		Decisions:     snap.Decisions,
-		Slots:         snap.Slots,
-		CollisionRate: snap.CollisionRate(),
-		SlotsPerSec:   snap.SlotsPerSec(),
+		Transmissions: res.Transmissions,
+		Deliveries:    res.Deliveries,
+		Collisions:    res.Collisions,
+		Wakeups:       res.Wakeups,
+		Decisions:     res.Decisions,
+		Slots:         res.Slots,
+		Wall:          wall,
 		BucketSlots:   tl.BucketSlots(),
 	}
-	if !snap.Start.IsZero() {
-		s.Wall = snap.At.Sub(snap.Start)
+	if resolved := res.Deliveries + res.Collisions; resolved > 0 {
+		s.CollisionRate = float64(res.Collisions) / float64(resolved)
+	}
+	if sec := wall.Seconds(); sec > 0 {
+		s.SlotsPerSec = float64(res.Slots) / sec
 	}
 	for p, tot := range tl.Phases() {
 		s.Phases = append(s.Phases, PhaseStats{

@@ -140,8 +140,9 @@ type Options struct {
 	// the configured destination; summarize the file with cmd/tracestat
 	// or obs.Summarize. Tracing is independent of Observer and Metrics.
 	Trace *TraceConfig
-	// Metrics, when true, attaches an Outcome.Stats snapshot: event
-	// counters, collision rate, throughput and the per-phase timeline.
+	// Metrics, when true, attaches an Outcome.Stats snapshot: the run's
+	// event counters, collision rate and throughput, and the per-phase
+	// timeline (the one collector this option adds to the run).
 	Metrics bool
 
 	// wrapProtocols, set only by this package's tests, replaces the

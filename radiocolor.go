@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"time"
 
 	"radiocolor/internal/churn"
 	"radiocolor/internal/core"
@@ -293,13 +294,11 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 	// of this is nil (and the run allocation-free on the seam) when
 	// Observer, Trace and Metrics are unset.
 	var (
-		met      *obs.Metrics
 		timeline *obs.Timeline
 		tracer   *obs.Tracer
 		sink     *os.File
 	)
 	if opt.Metrics {
-		met = obs.NewMetrics()
 		timeline = obs.NewTimeline(g.N(), 0)
 	}
 	if t := opt.Trace; t != nil {
@@ -318,7 +317,7 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 		}
 		tracer = obs.NewTracer(t.Cap, w, kinds...)
 	}
-	collector := &obs.Collector{Metrics: met, Tracer: tracer, Timeline: timeline}
+	collector := &obs.Collector{Tracer: tracer, Timeline: timeline}
 
 	// Compile the fault profile against the concrete graph. The fault
 	// seed defaults to the run seed so "same options, same outcome"
@@ -434,14 +433,15 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 		Workers:   opt.Workers,
 		Tiles:     opt.Tiling,
 		Observer:  engineOb,
-		Metrics:   met,
 		Faults:    inj,
 		Medium:    med,
 		Churn:     runPlan,
 	}
 	// A clock-skew profile switches the engine to the half-slot rule;
 	// the injector supplies the per-node offsets.
+	began := time.Now()
 	res, err := radio.RunContext(ctx, cfg)
+	wall := time.Since(began)
 	if tracer != nil {
 		if ferr := tracer.Flush(); ferr != nil && err == nil {
 			err = fmt.Errorf("radiocolor: %w", ferr)
@@ -491,8 +491,8 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 	out.Complete = rep.Complete && res.AllDone
 	out.NumColors = rep.NumColors
 	out.MaxColor = int(rep.MaxColor)
-	if met != nil {
-		out.Stats = buildStats(met, timeline)
+	if timeline != nil {
+		out.Stats = buildStats(res, timeline, wall)
 	}
 	if inj != nil || plan != nil {
 		// One scoped verdict serves both reports: crashed nodes and
